@@ -1,14 +1,20 @@
-"""Hand-written lexer for jlang, the Java-like surface language.
+"""Lexer for jlang, the Java-like surface language.
 
 jlang covers the subset of Java that TAJ's motivating examples and the
 synthetic benchmark suite need: classes, interfaces, fields, methods,
 arrays, strings, control flow, try/catch, casts, and `new`.
+
+One compiled pattern scans the source once.  Each match is a run of
+trivia (whitespace and comments) followed by exactly one token, the
+end of input, or the offending text of a lexical error; line and
+column come from counting newlines between consecutive token starts.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from .errors import LexError
 
@@ -27,8 +33,36 @@ SYMBOLS = [
     "/", "%", "<", ">", "!", "&", "|",
 ]
 
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
-@dataclass(frozen=True)
+# A string body up to its closing quote, first invalid escape, or the
+# end of input.
+_BODY = r'[^"\\]*(?:\\[nt"\\][^"\\]*)*'
+
+# After the trivia prefix some alternative matches at every position
+# (``bad`` takes any one character, ``eof`` the end), so consecutive
+# matches tile the source.  ``id`` takes ASCII-initial identifiers and
+# ``uid`` the rest; the scanner rejects a ``uid`` whose first character
+# is not a letter (``\w`` also admits non-decimal digits such as ``²``).
+# ``comment`` is a ``/*`` the prefix could not close.  ``bad`` is the
+# opening quote of a string with an invalid escape or no closing quote,
+# or any other character.
+_TOKEN = re.compile(r"""
+    (?: [ \t\r\n]+ | //[^\n]* | /\*[^*]*\*+(?:[^/*][^*]*\*+)*/ )*
+    (?: (?P<id>[A-Za-z_$][\w$]*)
+      | (?P<comment>/\*)
+      | (?P<sym>%s)
+      | (?P<int>\d+)
+      | (?P<string>"%s")
+      | (?P<uid>[^\W\d][\w$]*)
+      | (?P<eof>\Z)
+      | (?P<bad>[\s\S]) )
+    """ % ("|".join(map(re.escape, SYMBOLS)), _BODY), re.VERBOSE)
+_VALID_BODY = re.compile(_BODY)
+_ESCAPE = re.compile(r"\\(.)")
+
+
+@dataclass(slots=True)
 class Token:
     kind: str          # "id", "kw", "int", "string", "sym", "eof"
     text: str
@@ -39,110 +73,50 @@ class Token:
         return f"Token({self.kind},{self.text!r}@{self.line}:{self.col})"
 
 
-class Lexer:
-    """Converts jlang source text into a token list."""
-
-    def __init__(self, source: str, filename: str = "<string>") -> None:
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.line, self.col)
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.source[idx] if idx < len(self.source) else ""
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source) and not (
-                        self._peek() == "*" and self._peek(1) == "/"):
-                    self._advance()
-                if self.pos >= len(self.source):
-                    raise self._error("unterminated block comment")
-                self._advance(2)
-            else:
-                return
-
-    def tokens(self) -> List[Token]:
-        out: List[Token] = []
-        while True:
-            tok = self._next_token()
-            out.append(tok)
-            if tok.kind == "eof":
-                return out
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        line, col = self.line, self.col
-        if self.pos >= len(self.source):
-            return Token("eof", "", line, col)
-        ch = self._peek()
-        if ch.isalpha() or ch == "_" or ch == "$":
-            start = self.pos
-            while self._peek() and (self._peek().isalnum() or
-                                    self._peek() in "_$"):
-                self._advance()
-            text = self.source[start:self.pos]
-            kind = "kw" if text in KEYWORDS else "id"
-            return Token(kind, text, line, col)
-        if ch.isdigit():
-            start = self.pos
-            while self._peek().isdigit():
-                self._advance()
-            return Token("int", self.source[start:self.pos], line, col)
-        if ch == '"':
-            return self._string(line, col)
-        for sym in SYMBOLS:
-            if self.source.startswith(sym, self.pos):
-                self._advance(len(sym))
-                return Token("sym", sym, line, col)
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _string(self, line: int, col: int) -> Token:
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise self._error("unterminated string literal")
-            if ch == '"':
-                self._advance()
-                return Token("string", "".join(chars), line, col)
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                mapping = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                if esc not in mapping:
-                    raise self._error(f"bad escape \\{esc}")
-                chars.append(mapping[esc])
-                self._advance()
-            else:
-                chars.append(ch)
-                self._advance()
-
-
 def tokenize(source: str, filename: str = "<string>") -> List[Token]:
-    """Tokenize jlang source; convenience wrapper over :class:`Lexer`."""
-    return Lexer(source, filename).tokens()
+    """Tokenize jlang source into a token list ending in one ``eof``."""
+    tokens: List[Token] = []
+    append = tokens.append
+    count = source.count
+    line, line_start, last = 1, 0, 0
+
+    def error(message: str, offset: int) -> LexError:
+        nl = source.rfind("\n", 0, offset)
+        return LexError(message, line + count("\n", last, offset),
+                        offset - nl)
+
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        start = m.start(kind)
+        newlines = count("\n", last, start)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", last, start) + 1
+        last = start
+        text = m[kind]
+        if kind == "id":
+            if text in KEYWORDS:
+                kind = "kw"
+        elif kind == "string":
+            text = text[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text)
+        elif kind == "uid":
+            if not text[0].isalpha():
+                raise error(f"unexpected character {text[0]!r}", start)
+            kind = "id"
+        elif kind == "eof":
+            append(Token(kind, text, line, start - line_start + 1))
+            return tokens
+        elif kind == "comment":
+            raise error("unterminated block comment", len(source))
+        elif kind == "bad":
+            if text != '"':
+                raise error(f"unexpected character {text!r}", start)
+            stop = _VALID_BODY.match(source, start + 1).end()
+            if stop == len(source):
+                raise error("unterminated string literal", stop)
+            raise error(f"bad escape \\{source[stop + 1:stop + 2]}",
+                        stop + 1)
+        append(Token(kind, text, line, start - line_start + 1))
+    raise AssertionError("unreachable: the pattern always matches eof")

@@ -16,39 +16,50 @@ from .lexer import Token, tokenize
 _PRIMITIVE_TYPES = {"int", "boolean", "void"}
 # Tokens that can start an expression: used by the cast heuristic.
 _EXPR_START_SYMS = {"(", "!", "-"}
+# Lookahead key of a token that is neither a symbol nor a keyword; no
+# symbol or keyword text equals one of these.
+_KIND_KEYS = {"id": "<id>", "int": "<int>", "string": "<string>",
+              "eof": "<eof>"}
 
 
 class Parser:
-    """Parses a token stream into an AST."""
+    """Parses a token stream into an AST.
+
+    ``keys[i]`` is the text of token ``i`` if it is a symbol or keyword
+    and a marker of its kind otherwise, so testing for one symbol or
+    keyword is a single compare.  ``pos`` never moves past the final
+    ``eof`` token, and every lookahead beyond ``pos`` first checks that
+    the tokens before it are not ``eof``, so indexing needs no clamp.
+    """
 
     def __init__(self, tokens: List[Token]) -> None:
         self.tokens = tokens
+        self.keys = [_KIND_KEYS.get(tok.kind) or tok.text for tok in tokens]
         self.pos = 0
 
     # -- token helpers ------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        return self.tokens[self.pos + offset]
 
     def _at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def _at_sym(self, text: str) -> bool:
-        return self._at("sym", text)
+        return self.keys[self.pos] == text
 
-    def _at_kw(self, text: str) -> bool:
-        return self._at("kw", text)
+    # No keyword is spelled like a symbol, so one key test serves both.
+    _at_kw = _at_sym
 
     def _advance(self) -> Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def _expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text or kind
             raise ParseError(
@@ -56,16 +67,12 @@ class Parser:
         return self._advance()
 
     def _accept_sym(self, text: str) -> bool:
-        if self._at_sym(text):
-            self._advance()
+        if self.keys[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
-    def _accept_kw(self, text: str) -> bool:
-        if self._at_kw(text):
-            self._advance()
-            return True
-        return False
+    _accept_kw = _accept_sym
 
     # -- types ---------------------------------------------------------------
 
@@ -202,16 +209,17 @@ class Parser:
         return stmts
 
     def _parse_stmt(self) -> ast.Stmt:
-        tok = self._peek()
-        if self._at_sym("{"):
+        tok = self.tokens[self.pos]
+        key = self.keys[self.pos]
+        if key == "{":
             return ast.Block(line=tok.line, body=self._parse_block())
-        if self._at_kw("if"):
+        if key == "if":
             return self._parse_if()
-        if self._at_kw("while"):
+        if key == "while":
             return self._parse_while()
-        if self._at_kw("for"):
+        if key == "for":
             return self._parse_for()
-        if self._at_kw("try"):
+        if key == "try":
             return self._parse_try()
         if self._accept_kw("return"):
             value = None if self._at_sym(";") else self._parse_expr()
@@ -363,7 +371,7 @@ class Parser:
 
     def _parse_logic(self) -> ast.Expr:
         left = self._parse_equality()
-        while self._at_sym("&&") or self._at_sym("||"):
+        while self.keys[self.pos] in ("&&", "||"):
             tok = self._advance()
             right = self._parse_equality()
             left = ast.Binary(line=tok.line, op=tok.text, left=left,
@@ -372,7 +380,7 @@ class Parser:
 
     def _parse_equality(self) -> ast.Expr:
         left = self._parse_relational()
-        while self._at_sym("==") or self._at_sym("!="):
+        while self.keys[self.pos] in ("==", "!="):
             tok = self._advance()
             right = self._parse_relational()
             left = ast.Binary(line=tok.line, op=tok.text, left=left,
@@ -381,8 +389,7 @@ class Parser:
 
     def _parse_relational(self) -> ast.Expr:
         left = self._parse_additive()
-        while self._peek().text in ("<", ">", "<=", ">=") and \
-                self._peek().kind == "sym":
+        while self.keys[self.pos] in ("<", ">", "<=", ">="):
             tok = self._advance()
             right = self._parse_additive()
             left = ast.Binary(line=tok.line, op=tok.text, left=left,
@@ -391,7 +398,7 @@ class Parser:
 
     def _parse_additive(self) -> ast.Expr:
         left = self._parse_multiplicative()
-        while (self._at_sym("+") or self._at_sym("-")):
+        while self.keys[self.pos] in ("+", "-"):
             tok = self._advance()
             right = self._parse_multiplicative()
             left = ast.Binary(line=tok.line, op=tok.text, left=left,
@@ -400,8 +407,7 @@ class Parser:
 
     def _parse_multiplicative(self) -> ast.Expr:
         left = self._parse_unary()
-        while self._peek().text in ("*", "/", "%") and \
-                self._peek().kind == "sym":
+        while self.keys[self.pos] in ("*", "/", "%"):
             tok = self._advance()
             right = self._parse_unary()
             left = ast.Binary(line=tok.line, op=tok.text, left=left,
@@ -409,9 +415,9 @@ class Parser:
         return left
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self._peek()
-        if self._at_sym("!") or self._at_sym("-"):
-            self._advance()
+        tok = self.tokens[self.pos]
+        if self.keys[self.pos] in ("!", "-"):
+            self.pos += 1
             operand = self._parse_unary()
             return ast.Unary(line=tok.line, op=tok.text, operand=operand)
         if self._is_cast():
@@ -447,8 +453,9 @@ class Parser:
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
         while True:
-            if self._at_sym("."):
-                self._advance()
+            key = self.keys[self.pos]
+            if key == ".":
+                self.pos += 1
                 name = self._expect("id").text
                 if self._at_sym("("):
                     args = self._parse_args()
@@ -458,8 +465,8 @@ class Parser:
                 else:
                     expr = ast.FieldAccess(line=self._peek().line,
                                            target=expr, field_name=name)
-            elif self._at_sym("["):
-                self._advance()
+            elif key == "[":
+                self.pos += 1
                 index = self._parse_expr()
                 self._expect("sym", "]")
                 expr = ast.IndexAccess(line=self._peek().line, target=expr,
@@ -479,7 +486,14 @@ class Parser:
         return args
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
+        if tok.kind == "id":
+            self.pos += 1
+            if self._at_sym("("):
+                args = self._parse_args()
+                return ast.MethodCall(line=tok.line, target=None,
+                                      method_name=tok.text, args=args)
+            return ast.NameRef(line=tok.line, name=tok.text)
         if tok.kind == "string":
             self._advance()
             return ast.Literal(line=tok.line, value=tok.text)
@@ -496,13 +510,6 @@ class Parser:
             return ast.ThisRef(line=tok.line)
         if self._at_kw("new"):
             return self._parse_new()
-        if tok.kind == "id":
-            self._advance()
-            if self._at_sym("("):
-                args = self._parse_args()
-                return ast.MethodCall(line=tok.line, target=None,
-                                      method_name=tok.text, args=args)
-            return ast.NameRef(line=tok.line, name=tok.text)
         if self._accept_sym("("):
             expr = self._parse_expr()
             self._expect("sym", ")")

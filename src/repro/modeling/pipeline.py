@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from ..ir import Program, validate_program
-from ..lang import Lowerer, parse
+from ..lang import Lowerer, tokenize
 from ..lang.errors import SourceError
+from ..lang.parser import Parser
 from ..obs import DISABLED, Observability
 from ..resilience import DeadlineExceeded
 from ..ssa import ConstantValues, SSAInfo, to_ssa
@@ -69,6 +70,9 @@ def _lower_units(program: Program, app_sources: List[str],
                  resilience, obs: Observability) -> int:
     """Parse + lower the application units into ``program``.
 
+    Each unit is lexed and parsed inside ``lang.lex`` / ``lang.parse``
+    spans, and the batch is lowered inside one ``lang.lower`` span.
+
     With an active quarantining resilience context, a unit whose parse
     or lowering fails is *skipped*: a structured diagnostic is recorded,
     every class the unit contributed is evicted, and the remaining units
@@ -76,6 +80,7 @@ def _lower_units(program: Program, app_sources: List[str],
     """
     quarantine = resilience is not None and resilience.active and \
         resilience.quarantine
+    tracer = obs.tracer
     lowerer = Lowerer(program)
     unit_of: Dict[str, int] = {}    # class name -> source-unit index
     failed_units: set = set()
@@ -85,7 +90,12 @@ def _lower_units(program: Program, app_sources: List[str],
                 # Fault seam: may corrupt the source text, trip the
                 # deadline, or raise a scripted exception.
                 source = resilience.corrupt("frontend.source", source)
-            names = lowerer.add_unit(parse(source))
+            with tracer.span("lang.lex") as span:
+                tokens = tokenize(source)
+                span.set(tokens=len(tokens))
+            with tracer.span("lang.parse"):
+                unit = Parser(tokens).parse_unit()
+            names = lowerer.add_unit(unit)
         except DeadlineExceeded:
             raise
         except Exception as exc:
@@ -103,7 +113,8 @@ def _lower_units(program: Program, app_sources: List[str],
         if index is not None:
             failed_units.add(index)
 
-    lowerer.lower_all(on_error=on_error if quarantine else None)
+    with tracer.span("lang.lower"):
+        lowerer.lower_all(on_error=on_error if quarantine else None)
     # Evict every class contributed by a quarantined unit, including
     # sibling classes whose own bodies lowered fine: the unit is the
     # compilation boundary, so it is quarantined as a whole.
@@ -141,7 +152,8 @@ def prepare(app_sources: List[str],
 
     quarantined = 0
     with tracer.span("modeling.lower", sources=len(app_sources)):
-        program = load_stdlib()
+        with tracer.span("lang.stdlib"):
+            program = load_stdlib()
         if app_sources:
             quarantined = _lower_units(program, app_sources, resilience,
                                        obs)

@@ -16,10 +16,12 @@ security rules.
 
 from __future__ import annotations
 
+import functools
 from typing import Set
 
 from ..ir import Program
 from ..lang import Lowerer, parse
+from ..lang.ast import CompilationUnit
 
 # Classes treated as string carriers (paper §4.2.1).
 STRING_CARRIERS: Set[str] = {"String", "StringBuffer", "StringBuilder"}
@@ -417,8 +419,20 @@ library class PortableRemoteObject {
 """
 
 
+@functools.cache
+def _stdlib_unit() -> CompilationUnit:
+    """The model library's AST, parsed on first use."""
+    return parse(STDLIB_SOURCE, "<stdlib>")
+
+
 def load_stdlib(program: Program = None) -> Program:
-    """Lower the model library into ``program`` (or a fresh one)."""
+    """Lower the model library into ``program`` (or a fresh one).
+
+    The library is parsed once per process and lowered on every call.
+    Lowering only reads the AST, and each call builds new IR, so the
+    model passes that rewrite a program's IR in place never reach the
+    library another analysis loads.
+    """
     lowerer = Lowerer(program)
-    lowerer.add_unit(parse(STDLIB_SOURCE, "<stdlib>"))
+    lowerer.add_unit(_stdlib_unit())
     return lowerer.lower_all()

@@ -78,6 +78,15 @@ def test_unexpected_character_rejected():
         tokenize("a # b")
 
 
+def test_integer_literals_are_decimal_digits_only():
+    # str.isdigit() accepts '²', which int() rejects: it is an
+    # unexpected character, reported at its own position.
+    with pytest.raises(LexError) as info:
+        tokenize("class D { void m() { int x = ²; } }")
+    assert str(info.value) == "unexpected character '²' at 1:30"
+    assert kinds("١٢") == [("int", "١٢")]
+
+
 def test_keywords_are_not_identifiers():
     toks = tokenize("returnx return")
     assert toks[0].kind == "id"

@@ -9,6 +9,7 @@ records nothing while the analysis still works.
 import pytest
 
 from repro import TAJ, TAJConfig
+from repro.lang import tokenize
 from repro.obs import DISABLED, Observability
 
 APP = """
@@ -70,6 +71,11 @@ def test_sdg_and_modeling_subspans(traced_run):
     child_names = {c.name for c in modeling.children}
     assert "modeling.ssa" in child_names and "modeling.lower" \
         in child_names
+    (lower,) = obs.tracer.find("modeling.lower")
+    assert [c.name for c in lower.children] == [
+        "lang.stdlib", "lang.lex", "lang.parse", "lang.lower"]
+    (lex,) = obs.tracer.find("lang.lex")
+    assert lex.attrs["tokens"] == len(tokenize(APP))
 
 
 def test_taint_rule_spans(traced_run):

@@ -19,9 +19,11 @@ class S extends HttpServlet {
 }
 """
 
-# One broken source per frontend stage.
+# One broken source per frontend stage, plus a non-decimal digit that
+# str.isdigit() accepts but int() rejects.
 CORPUS = {
     "lex": 'class L { void m() { String s = "unterminated; } }',
+    "lex-digit": "class D { void m() { int x = ²; } }",
     "parse": "class P { void m( { } }",
     "lower": "class W { void m() { break; } }",
 }
@@ -55,6 +57,7 @@ def test_keep_going_quarantines_and_analyzes_the_rest(stage, tmp_path,
     assert code == 1, "partial run with issues exits 1, not 2"
     assert "XSS" in captured.out, "the healthy file is still analyzed"
     assert broken in captured.err and "[frontend]" in captured.err
+    assert "internal-error" not in captured.err
     assert "Traceback" not in captured.err + captured.out
 
 
