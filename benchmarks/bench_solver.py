@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -57,7 +56,9 @@ from repro.taint import TaintEngine, default_rules
 
 REPEATS = 5
 TARGET_REDUCTION = 25.0         # acceptance bar, percent
-PARALLEL_JOBS = 4               # fan-out measured for the taint sweep
+# Top-level artifact keys other benchmarks own (summary_cache.py,
+# confirmation.py merge their rows in); a rewrite keeps them.
+MERGED_KEYS = ("confirmation", "summary_cache")
 
 
 def suite_sources(quick: bool = False) -> Dict[str, List[List[str]]]:
@@ -159,15 +160,13 @@ def bench_suite(programs: List[List[str]],
     return metrics
 
 
-def bench_parallel_taint(repeats: int = 3,
-                         jobs: int = PARALLEL_JOBS) -> Dict[str, object]:
-    """Serial vs parallel per-rule taint sweep over securibench.
+def bench_taint_sweep(repeats: int = 3) -> Dict[str, object]:
+    """The serial per-rule taint sweep over securibench.
 
-    One pointer solve and one SDG are shared; only the engine sweep is
-    timed (best of ``repeats``).  The flows must come back identical —
-    that contract, not the wall clock, is the parallel sweep's headline
-    guarantee: on a single-core host ``jobs=N`` pays fork overhead and
-    the artifact records that honestly.
+    One pointer solve and one SDG are built; only the engine sweep is
+    timed (best of ``repeats``).  The ledger keeps its wall as the
+    ``taint.serial_sweep`` phase and its flow count as the
+    ``taint.flows`` counter.
     """
     sources = [src for cat in CASES.values() for src, _ in cat.values()]
     prepared = prepare(sources)
@@ -175,39 +174,18 @@ def bench_parallel_taint(repeats: int = 3,
     sdg = NoHeapSDG(prepared.program, analysis.call_graph)
     direct = DirectEdges(sdg, analysis)
     heap = HeapGraph(analysis)
-
-    def sweep(n: int):
-        best, result = None, None
-        for _ in range(repeats):
-            engine = TaintEngine(sdg, direct, heap, default_rules(),
-                                 Budget(), jobs=n)
-            t0 = time.perf_counter()
-            result = engine.run()
-            t = time.perf_counter() - t0
-            best = t if best is None else min(best, t)
-        return result, best
-
-    serial, serial_t = sweep(1)
-    parallel, parallel_t = sweep(jobs)
-    identical = [f.sort_key() for f in serial.flows] == \
-        [f.sort_key() for f in parallel.flows]
-    if not identical:
-        raise AssertionError(
-            "parallel sweep diverged from the serial reference")
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        cores = os.cpu_count() or 1
+    best, result = None, None
+    for _ in range(repeats):
+        engine = TaintEngine(sdg, direct, heap, default_rules(), Budget())
+        t0 = time.perf_counter()
+        result = engine.run()
+        t = time.perf_counter() - t0
+        best = t if best is None else min(best, t)
     return {
         "programs": len(sources),
         "rules": len(list(default_rules())),
-        "flows": len(serial.flows),
-        "cores": cores,
-        "jobs": jobs,
-        "jobs1_wall_s": round(serial_t, 4),
-        f"jobs{jobs}_wall_s": round(parallel_t, 4),
-        "speedup": round(serial_t / parallel_t, 2),
-        "reports_identical": identical,
+        "flows": len(result.flows),
+        "wall_s": round(best, 4),
     }
 
 
@@ -217,8 +195,7 @@ def run_bench(quick: bool = False,
     for name, programs in suite_sources(quick).items():
         payload["suites"][name] = bench_suite(programs, repeats)
         payload["suites"][name]["programs"] = len(programs)
-    payload["parallel_taint"] = bench_parallel_taint(
-        repeats=1 if quick else 3)
+    payload["taint_sweep"] = bench_taint_sweep(repeats=1 if quick else 3)
     payload["meta"] = {
         "quick": quick,
         "repeats": repeats,
@@ -232,10 +209,10 @@ def ledger_record(payload: Dict, quick: bool, repeats: int,
                   commit: str = None) -> Dict:
     """One ``kind="bench"`` run-ledger record for a suite sweep.
 
-    The "phases" are the per-suite optimized walls (plus the serial
-    parallel-taint sweep wall), so the sentinel names the regressed
-    *suite*; the counters are the deterministic work measures, gated
-    regardless of host.
+    The "phases" are the per-suite optimized walls (plus the taint
+    sweep wall), so the sentinel names the regressed *suite*; the
+    counters are the deterministic work measures, gated regardless of
+    host.
     """
     phases: Dict[str, float] = {}
     counters: Dict[str, float] = {}
@@ -246,10 +223,10 @@ def ledger_record(payload: Dict, quick: bool, repeats: int,
             m["optimized"]["propagations"]
         counters[f"{name}.edges"] = m["optimized"]["edges"]
         complete = complete and m["completeness"] == "complete"
-    par = payload.get("parallel_taint")
-    if par:
-        phases["taint.serial_sweep"] = par["jobs1_wall_s"]
-        counters["taint.flows"] = par["flows"]
+    sweep = payload.get("taint_sweep")
+    if sweep:
+        phases["taint.serial_sweep"] = sweep["wall_s"]
+        counters["taint.flows"] = sweep["flows"]
     sources = [src for programs in suite_sources(quick).values()
                for srcs in programs for src in srcs]
     return make_record(
@@ -278,15 +255,11 @@ def format_summary(payload: Dict) -> str:
             f"{m['seed']['propagations']:>12}"
             f"{m['optimized']['propagations']:>11}"
             f"{m['optimized']['keys_merged']:>8}")
-    par = payload.get("parallel_taint")
-    if par:
-        jobs_wall = par["jobs%d_wall_s" % par["jobs"]]
+    sweep = payload.get("taint_sweep")
+    if sweep:
         lines.append(
-            f"\nparallel taint sweep (securibench, {par['rules']} rules, "
-            f"{par['flows']} flows): jobs=1 {par['jobs1_wall_s']:.3f}s, "
-            f"jobs={par['jobs']} {jobs_wall:.3f}s "
-            f"(speedup {par['speedup']:.2f}x, reports identical: "
-            f"{par['reports_identical']})")
+            f"\ntaint sweep (securibench, {sweep['rules']} rules, "
+            f"{sweep['flows']} flows): {sweep['wall_s']:.3f}s")
     return "\n".join(lines)
 
 
@@ -349,16 +322,15 @@ def main(argv=None) -> int:
 
     payload = run_bench(quick=args.quick, repeats=args.repeats)
     print(format_summary(payload))
-    # Keep rows other benchmarks merged into the artifact (the
-    # parallel_scaling sweep writes under its own top-level key).
     target = Path(args.out)
     if target.exists():
         try:
             existing = json.loads(target.read_text(encoding="utf-8"))
         except ValueError:
             existing = {}
-        for key, value in existing.items():
-            payload.setdefault(key, value)
+        for key in MERGED_KEYS:
+            if key in existing:
+                payload[key] = existing[key]
     write_bench_json(args.out, payload)
     print(f"\nwrote {args.out}")
     if args.ledger:

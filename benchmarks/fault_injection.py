@@ -2,7 +2,7 @@
 
 Runs the securibench micro-suite through :class:`repro.core.TAJ` with a
 matrix of scripted :class:`~repro.resilience.FaultPlan`\\ s — one plan
-per (seam, action) pair, covering all ten seams of
+per (seam, action) pair, covering every seam of
 ``repro.resilience.faults`` — and enforces the robustness contract of
 ``docs/robustness.md``:
 
@@ -22,17 +22,6 @@ Entry points:
   exits non-zero on any contract violation.
 * **pytest** — the ``test_*`` functions run a cross-section of the
   matrix under the regular suite.
-
-Beyond the ten cooperative seams, the matrix carries **crash rows** for
-the two process seams (``worker.shard``, ``worker.init``,
-docs/robustness.md): SIGKILLed workers, poison shards, and corrupted
-outcome payloads under ``--jobs 2``.  Their contract is different —
-recovery must be *invisible in the report* (byte-identical flows, or an
-honest ``partial-crash``) and *visible in the counters*
-(``taint.pool.retries`` / ``restarts`` / ``quarantined``, which also
-ride ``BENCH_ledger.jsonl`` records into the regression sentinel).  The
-full crash-recovery sweep with serial reference comparison lives in
-``benchmarks/chaos.py``; these rows keep the seam matrix complete.
 """
 
 from __future__ import annotations
@@ -88,71 +77,24 @@ SCENARIOS: List[Tuple[str, Fault, str, Tuple[str, ...]]] = [
     ("ci-step-deadline",
      Fault("ci.step", action="trip-deadline"),
      "ci", ("partial-deadline", "partial-fault")),
+    ("summary-budget-ladder",
+     Fault("slicing.summary", action="raise", exception="budget"),
+     "summary", ("partial-budget",)),
     ("reporting-fault",
      Fault("reporting.build", action="raise"),
      "optimized", ("partial-fault",)),
+    ("confirm-fault",
+     Fault("confirm.replay", action="raise"),
+     "confirm", ("partial-fault",)),
 ]
 
 CONFIGS = {
     "optimized": TAJConfig.hybrid_optimized,
     "cs": TAJConfig.cs,
     "ci": TAJConfig.ci,
+    "summary": TAJConfig.summary,
+    "confirm": lambda: TAJConfig.hybrid_optimized().with_confirm(),
 }
-
-# Crash rows: process-seam faults against the --jobs 2 pool
-# (supervised, docs/robustness.md).  Each row: (label, fault, expected
-# completeness values, counters that must be >= 1 afterwards).  A
-# recovered crash leaves the report byte-identical — only the
-# supervision counters betray it — so the contract here is
-# counter-presence plus truthful completeness, and the report-identity
-# half lives in benchmarks/chaos.py.
-PROCESS_SCENARIOS: List[Tuple[str, Fault, Tuple[str, ...],
-                              Tuple[str, ...]]] = [
-    ("worker-kill-retried",
-     Fault("worker.shard", at=0, action="kill-worker", attempts=1),
-     ("complete",), ("taint.pool.retries", "taint.pool.restarts")),
-    ("worker-kill-poison",
-     Fault("worker.shard", at=0, action="kill-worker", attempts=-1),
-     ("partial-crash",), ("taint.pool.quarantined",)),
-    ("worker-corrupt-outcome",
-     Fault("worker.shard", at=0, action="corrupt-outcome", attempts=1),
-     ("complete",), ("taint.pool.corrupt_outcomes",
-                     "taint.pool.retries")),
-    ("worker-init-crash",
-     Fault("worker.init", at=0, action="kill-worker", attempts=1),
-     ("complete",), ("taint.pool.restarts",)),
-]
-
-
-def run_process_scenario(label: str, fault: Fault,
-                         expected: Tuple[str, ...],
-                         counters: Tuple[str, ...],
-                         sources: List[str]) -> Optional[str]:
-    """One crash row against the supervised pool; error string or
-    None."""
-    from repro.obs import Observability
-    config = CONFIGS["optimized"]().with_jobs(2)
-    obs = Observability()
-    taj = TAJ(config, obs=obs, faults=FaultPlan.of(fault))
-    try:
-        result = taj.analyze_sources(sources)
-    except Exception:
-        return (f"{label}: unhandled exception escaped the supervised "
-                f"pool:\n{traceback.format_exc()}")
-    if result.completeness not in expected:
-        return (f"{label}: completeness {result.completeness!r}, "
-                f"expected one of {expected}")
-    snapshot = obs.metrics.snapshot().get("counters", {})
-    missing = [name for name in counters
-               if not snapshot.get(name)]
-    if missing:
-        return (f"{label}: crash recovered but the supervision "
-                f"counters {missing} are absent — the regression "
-                f"sentinel would never see the intervention")
-    if "partial-crash" in expected and not result.diagnostics:
-        return (f"{label}: abandoned shard left no per-shard "
-                f"diagnostic")
-    return None
 
 
 def suite_cases(quick: bool = False) -> Dict[str, str]:
@@ -191,8 +133,7 @@ def run_scenario(label: str, fault: Fault, config_key: str,
     return None
 
 
-def run_matrix(quick: bool = False,
-               process_rows: bool = True) -> List[str]:
+def run_matrix(quick: bool = False) -> List[str]:
     """The full sweep; returns the list of contract violations."""
     cases = suite_cases(quick)
     errors: List[str] = []
@@ -204,20 +145,8 @@ def run_matrix(quick: bool = False,
                                  source)
             if error is not None:
                 errors.append(f"[{case_name}] {error}")
-    process_runs = 0
-    if process_rows:
-        # Crash rows need >= 2 shards to reach the pool, so they run
-        # once over the whole (quick) corpus instead of per case.
-        sources = list(cases.values())
-        for label, fault, expected, counters in PROCESS_SCENARIOS:
-            process_runs += 1
-            error = run_process_scenario(label, fault, expected,
-                                         counters, sources)
-            if error is not None:
-                errors.append(f"[pool] {error}")
     print(f"fault-injection: {runs} runs over {len(cases)} cases x "
-          f"{len(SCENARIOS)} scenarios + {process_runs} pool crash "
-          f"rows, {len(errors)} violations")
+          f"{len(SCENARIOS)} scenarios, {len(errors)} violations")
     return errors
 
 
@@ -225,20 +154,7 @@ def run_matrix(quick: bool = False,
 
 def test_fault_matrix_quick():
     """Every seam scenario survives one case per category."""
-    errors = run_matrix(quick=True, process_rows=False)
-    assert not errors, "\n".join(errors)
-
-
-def test_process_fault_rows():
-    """Every crash row recovers (or abandons honestly) with its
-    supervision counters visible."""
-    sources = list(suite_cases(quick=True).values())
-    errors = []
-    for label, fault, expected, counters in PROCESS_SCENARIOS:
-        error = run_process_scenario(label, fault, expected, counters,
-                                     sources)
-        if error is not None:
-            errors.append(error)
+    errors = run_matrix(quick=True)
     assert not errors, "\n".join(errors)
 
 

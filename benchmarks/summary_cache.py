@@ -21,8 +21,8 @@ cache state the label does not claim.  The headline gate is honesty,
 then speed: all three runs must be flow-identical to the hybrid
 reference, and ``--check`` additionally enforces warm wall >=
 ``MIN_WARM_SAVING`` below cold.  The saving is cache-vs-no-cache on one
-core — unlike the parallel-scaling bar it does not depend on host
-cores, so the gate always applies; the artifact still records the count.
+core — it does not depend on host cores, so the gate always applies;
+the artifact still records the count.
 
 Entry point (script only):
 

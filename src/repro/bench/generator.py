@@ -127,9 +127,8 @@ class AppSpec:
 
         The generator spreads flow methods across servlets (~4 per
         servlet), so a scaled spec grows proportionally many
-        entrypoints — the dimension the parallel taint sweep shards on
-        (``repro.parallel.shards``).  Ground truth scales with it: the
-        oracle stays mechanical at every factor.
+        entrypoints.  Ground truth scales with it: the oracle stays
+        mechanical at every factor.
         """
         if factor < 1:
             raise ValueError(f"scale factor must be >= 1, got {factor}")
@@ -709,12 +708,11 @@ def generate_app(spec: AppSpec) -> GeneratedApp:
 
 
 def scaling_corpus(scale: int, seed: int = 7) -> GeneratedApp:
-    """The parallel-scaling corpus: the default spec at ``scale``×.
+    """The scaling corpus: the default spec at ``scale``×.
 
     At scale 1 this is a ~3-servlet app; at scale 10 it has ~35
-    entrypoints and at scale 100 ~350 — enough independent seed groups
-    to keep any realistic ``--jobs`` fan-out busy
-    (``benchmarks/parallel_scaling.py``).
+    entrypoints and at scale 100 ~350 (the ``scale30`` workload of
+    ``benchmarks/e2e`` analyzes ``scaling_corpus(30)``).
     """
     return generate_app(AppSpec(name="scaling", seed=seed).scaled(scale))
 
@@ -795,7 +793,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "truth, scaled by --scale.")
     parser.add_argument("--scale", type=int, default=1, metavar="N",
                         help="multiply every planted-pattern count by N "
-                             "(10-100 for the parallel-scaling corpus)")
+                             "(10-100 for the scaling corpus)")
     parser.add_argument("--seed", type=int, default=7,
                         help="generator RNG seed (default 7)")
     parser.add_argument("--out", metavar="FILE",

@@ -89,72 +89,45 @@ def run_suite(apps: Optional[Dict[str, GeneratedApp]] = None,
     failed cell for that (app, config) alone — one crashing app or
     configuration cannot take down the rest of the sweep.  Pass
     ``isolate=False`` to let exceptions propagate (debugging).
-
-    Parallel configurations (``jobs > 1``, no checkpoint) share one
-    :class:`~repro.parallel.PoolLease` per (jobs, start_method) pair
-    across the whole corpus loop, so only the first app pays worker
-    startup — the rest reload the live pool (unsupervised; acceptable
-    for the trusted bench corpus).
     """
     if apps is None:
         apps = generate_suite(app_names)
     configs = configs if configs is not None else default_configs()
     results = SuiteResults()
-    leases: Dict = {}
-
-    def _lease_for(config: TAJConfig):
-        if config.jobs <= 1 or config.checkpoint_dir is not None:
-            return None
-        from ..parallel import PoolLease
-        key = (config.jobs, config.start_method)
-        if key not in leases:
-            leases[key] = PoolLease(config.jobs, config.start_method)
-        return leases[key]
-
-    try:
-        for name in sorted(apps):
-            app = apps[name]
+    for name in sorted(apps):
+        app = apps[name]
+        try:
+            prepared = prepare(app.sources, app.deployment_descriptor)
+        except Exception as exc:
+            if not isolate:
+                raise
+            # The shared modeling phase died: every cell of this app's
+            # row fails, the remaining apps still run.
+            for config in configs:
+                results.records.append(_failure_record(app, config, exc))
+            continue
+        whitelist_extra = frozenset(benign_lib_classes(app))
+        for config in configs:
+            run_config = config
+            if config.use_whitelist:
+                run_config = replace(config,
+                                     whitelist_extra=whitelist_extra)
             try:
-                prepared = prepare(app.sources,
-                                   app.deployment_descriptor)
+                result = TAJ(run_config).analyze_prepared(prepared)
             except Exception as exc:
                 if not isolate:
                     raise
-                # The shared modeling phase died: every cell of this
-                # app's row fails, the remaining apps still run.
-                for config in configs:
-                    results.records.append(
-                        _failure_record(app, config, exc))
+                results.records.append(_failure_record(app, config, exc))
                 continue
-            whitelist_extra = frozenset(benign_lib_classes(app))
-            for config in configs:
-                run_config = config
-                if config.use_whitelist:
-                    run_config = replace(config,
-                                         whitelist_extra=whitelist_extra)
-                try:
-                    result = TAJ(run_config,
-                                 pool_lease=_lease_for(run_config)) \
-                        .analyze_prepared(prepared)
-                except Exception as exc:
-                    if not isolate:
-                        raise
-                    results.records.append(
-                        _failure_record(app, config, exc))
-                    continue
-                score = score_run(app, result)
-                results.records.append(RunRecord(
-                    app=name, config=config.name, issues=result.issues,
-                    seconds=result.times.total, failed=result.failed,
-                    cg_nodes=result.cg_nodes, score=score,
-                    solver_stats=result.solver_stats(),
-                    metrics=result.metrics,
-                    completeness=result.completeness,
-                    degradations=[d.to_dict()
-                                  for d in result.degradations]))
-    finally:
-        for lease in leases.values():
-            lease.close()
+            score = score_run(app, result)
+            results.records.append(RunRecord(
+                app=name, config=config.name, issues=result.issues,
+                seconds=result.times.total, failed=result.failed,
+                cg_nodes=result.cg_nodes, score=score,
+                solver_stats=result.solver_stats(),
+                metrics=result.metrics,
+                completeness=result.completeness,
+                degradations=[d.to_dict() for d in result.degradations]))
     return results
 
 

@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "git itself)")
     parser.add_argument("--progress", action="store_true",
                         help="print a live heartbeat line (phase, "
-                             "worklist depth, rule/shard progress) to "
+                             "worklist depth, rule progress) to "
                              "stderr once per second")
     parser.add_argument("--max-cg-nodes", type=int, metavar="N",
                         help="override the call-graph node budget")
@@ -146,40 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "that fail to compile and walk the "
                              "degradation ladder on budget/deadline "
                              "trips instead of aborting")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the taint sweep "
-                             "(default 1 = serial; reports are "
-                             "identical for every value)")
-    parser.add_argument("--shard-grain", choices=("auto", "rule",
-                                                  "entrypoint"),
-                        default="auto",
-                        help="parallel shard granularity: 'auto' "
-                             "splits rules per entrypoint seed group "
-                             "when semantics-preserving, 'rule' keeps "
-                             "whole-rule shards, 'entrypoint' forces "
-                             "the fine grain (only with --jobs > 1)")
-    parser.add_argument("--checkpoint", metavar="DIR",
-                        help="journal completed shards of the parallel "
-                             "sweep under DIR; an interrupted run "
-                             "restarted with the same DIR re-executes "
-                             "only unfinished shards (--jobs > 1; "
-                             "foreign/corrupt checkpoints are detected "
-                             "and discarded, docs/robustness.md)")
-    parser.add_argument("--max-shard-retries", type=int, default=2,
-                        metavar="N",
-                        help="failed attempts a shard may accumulate "
-                             "before it is quarantined to a serial "
-                             "in-parent re-run (default 2)")
-    parser.add_argument("--max-pool-restarts", type=int, default=3,
-                        metavar="N",
-                        help="worker-pool rebuilds the run may spend on "
-                             "crashes before quarantining every pending "
-                             "shard (default 3)")
-    parser.add_argument("--hang-seconds", type=float, metavar="SECONDS",
-                        help="watchdog threshold: SIGKILL and retry a "
-                             "worker whose shard has been in flight "
-                             "this long (default: 4x the --deadline; "
-                             "no deadline = watchdog off)")
     parser.add_argument("--fault-plan", metavar="FILE",
                         help="inject the scripted fault plan (JSON list "
                              "of {seam, at, action, ...} objects, "
@@ -225,23 +191,40 @@ def _frontend_diagnostics(paths: List[str],
     return lines
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 input file's text; ``ValueError`` names the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: "
+                         f"{exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_descriptor(path: Optional[str]) -> Optional[Dict[str, str]]:
     if path is None:
         return None
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"descriptor {path} is not JSON: {exc}") \
+            from None
     if not isinstance(data, dict):
-        raise SystemExit("--descriptor must contain a JSON object")
+        raise ValueError(f"descriptor {path} must contain a JSON object")
     return {str(k): str(v) for k, v in data.items()}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    sources = []
-    for path in args.files:
-        with open(path, encoding="utf-8") as handle:
-            sources.append(handle.read())
-    descriptor = _load_descriptor(args.descriptor)
+    try:
+        sources = [_read_text(path) for path in args.files]
+        descriptor = _load_descriptor(args.descriptor)
+    except ValueError as exc:
+        # Unreadable input is a usage error, not "issues found".
+        print(f"unreadable input: {exc}", file=sys.stderr)
+        return 2
 
     config = CONFIG_FACTORIES[args.config]()
     if args.summary_cache:
@@ -259,17 +242,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.deadline is not None or args.keep_going:
         config = config.with_resilience(deadline_seconds=args.deadline,
                                         resilient=args.keep_going)
-    if args.jobs != 1:
-        config = config.with_jobs(args.jobs,
-                                  shard_grain=args.shard_grain)
-    if args.checkpoint:
-        config = config.with_checkpoint(args.checkpoint)
-    if (args.max_shard_retries, args.max_pool_restarts,
-            args.hang_seconds) != (2, 3, None):
-        config = config.with_supervision(
-            max_shard_retries=args.max_shard_retries,
-            max_pool_restarts=args.max_pool_restarts,
-            hang_seconds=args.hang_seconds)
     if args.confirm:
         config = config.with_confirm(fuel=args.confirm_fuel,
                                      seed=args.confirm_seed)
@@ -335,7 +307,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.sarif:
         from .reporting import render_sarif
-        print(render_sarif(result.report, rules))
+        print(render_sarif(result.report, rules,
+                           completeness=result.completeness))
     elif args.json:
         payload = {
             "config": config.name,

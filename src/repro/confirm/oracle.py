@@ -25,9 +25,8 @@ exact.
 
 Determinism: the replay is a pure function of (program, seed, fault
 mode) — sources mint seeded payloads, the schedule is sequential —
-and verdicts are canonically ordered, so repeated runs and any
-``--jobs N`` analysis of the same program produce byte-identical
-verdict lists.
+and verdicts are canonically ordered, so repeated runs of the same
+program produce byte-identical verdict lists.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ class FlowProbe:
 
     All fields are plain strings/ints — probes are detached from the
     analysis program so they serialize and compare stably (verdict
-    determinism across ``--jobs`` counts rides on this).
+    determinism across runs rides on this).
     """
 
     rule: str

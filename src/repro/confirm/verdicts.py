@@ -18,8 +18,7 @@ Every reported flow gets exactly one verdict:
 
 ``canonical_verdicts`` fixes the output order the same way
 :func:`~repro.taint.flows.canonical_flows` does for flows, which is
-what makes ``--confirm`` output byte-identical across ``--jobs``
-counts and repeated runs.
+what makes ``--confirm`` output byte-identical across repeated runs.
 """
 
 from __future__ import annotations

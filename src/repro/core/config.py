@@ -65,36 +65,6 @@ class TAJConfig:
     # Off by default so the paper's CS out-of-memory reproduction (and
     # the strict-frontend contract) are preserved.
     resilient: bool = False
-    # Worker processes for the taint sweep (``--jobs``).  1 is the
-    # serial reference path; N > 1 runs a persistent worker pool over a
-    # deterministic shard plan (repro.parallel).  Reports are
-    # byte-identical for every value (docs/performance.md).
-    jobs: int = 1
-    # Shard grain for the parallel sweep: "auto" splits rules into
-    # per-entrypoint seed groups exactly when that preserves whole-rule
-    # semantics; "rule" forces whole-rule shards; "entrypoint" forces
-    # the fine grain (repro.parallel.shards).
-    shard_grain: str = "auto"
-    # Multiprocessing start method for the pool (None = fork when
-    # available, else spawn); the snapshot protocol supports both.
-    start_method: Optional[str] = None
-    # Crash supervision for the pool (repro.parallel.supervisor,
-    # docs/robustness.md): failed attempts a shard may accumulate
-    # beyond its first before it is quarantined to a serial parent
-    # re-run, and pool rebuilds the run may spend before every pending
-    # shard is quarantined wholesale.
-    max_shard_retries: int = 2
-    max_pool_restarts: int = 3
-    # Hang watchdog: a shard in flight longer than ``hang_seconds``
-    # (explicit) or ``hang_multiple`` × the deadline gets its worker
-    # SIGKILLed and is retried.  Neither set (no deadline, no explicit
-    # seconds) = watchdog off.
-    hang_multiple: float = 4.0
-    hang_seconds: Optional[float] = None
-    # Opt-in shard checkpoint journal (``--checkpoint DIR``,
-    # repro.parallel.checkpoint): an interrupted parallel sweep resumes
-    # re-running only unfinished shards.  None = off.
-    checkpoint_dir: Optional[str] = None
     # Dynamic flow confirmation (repro.confirm, docs/validation.md):
     # after reporting, replay the program with partial instrumentation
     # derived from each flow's witness chain and attach per-flow
@@ -107,13 +77,12 @@ class TAJConfig:
     confirm_seed: int = 1
     # Phase-attributed sampling profiler (repro.obs.profile,
     # docs/observability.md): when enabled the facade installs a
-    # profiler on the run's observability bundle, pool workers profile
-    # their shards, and the merged collapsed-stack data lands in
-    # ``TAJResult.profile`` (CLI ``--profile FILE`` writes the
-    # flamegraph-renderable file).  Off by default: profiling never
+    # profiler on the run's observability bundle and the collapsed-stack
+    # data lands in ``TAJResult.profile`` (CLI ``--profile FILE`` writes
+    # the flamegraph-renderable file).  Off by default: profiling never
     # changes reports, only adds measurement.
     profile: bool = False
-    # Sampling interval in seconds (shared by parent and pool workers).
+    # Sampling interval in seconds.
     profile_interval: float = 0.004
     # Persistent summary cache directory for the "summary" strategy
     # (repro.summaries, docs/performance.md): a cold run harvests
@@ -149,31 +118,6 @@ class TAJConfig:
         run's phase-attributed collapsed-stack profile lands in
         ``TAJResult.profile`` (docs/observability.md)."""
         return replace(self, profile=profile, profile_interval=interval)
-
-    def with_jobs(self, jobs: int, shard_grain: str = "auto",
-                  start_method: Optional[str] = None) -> "TAJConfig":
-        """This configuration with the taint sweep fanned over ``jobs``
-        pool workers (1 = serial), optionally pinning the shard grain
-        or the multiprocessing start method."""
-        return replace(self, jobs=max(1, jobs), shard_grain=shard_grain,
-                       start_method=start_method)
-
-    def with_supervision(self, max_shard_retries: int = 2,
-                         max_pool_restarts: int = 3,
-                         hang_multiple: float = 4.0,
-                         hang_seconds: Optional[float] = None) \
-            -> "TAJConfig":
-        """This configuration with explicit crash-supervision knobs for
-        the parallel sweep (docs/robustness.md)."""
-        return replace(self, max_shard_retries=max_shard_retries,
-                       max_pool_restarts=max_pool_restarts,
-                       hang_multiple=hang_multiple,
-                       hang_seconds=hang_seconds)
-
-    def with_checkpoint(self, directory: Optional[str]) -> "TAJConfig":
-        """This configuration journaling completed shards under
-        ``directory`` so an interrupted parallel sweep can resume."""
-        return replace(self, checkpoint_dir=directory)
 
     def with_summary_cache(self, directory: Optional[str]) -> "TAJConfig":
         """This configuration on the summary strategy, persisting

@@ -63,19 +63,13 @@ class TAJ:
     def __init__(self, config: Optional[TAJConfig] = None,
                  rules: Optional[RuleSet] = None,
                  obs: Optional[Observability] = None,
-                 faults: Optional[FaultPlan] = None,
-                 pool_lease: Optional[object] = None) -> None:
+                 faults: Optional[FaultPlan] = None) -> None:
         self.config = config or TAJConfig.hybrid_optimized()
         self.rules = rules or default_rules()
         self.obs = obs
         # A scripted fault plan (repro.resilience.faults); installed at
         # the pipeline's seams for every analyze_* call.
         self.faults = faults
-        # Opt-in worker-pool reuse across runs/apps (a
-        # repro.parallel.PoolLease owned by the caller — bench
-        # territory; see TaintEngine._run_leased for the supervision
-        # trade).  Used only when config.jobs > 1.
-        self.pool_lease = pool_lease
         # The summary-cache backend (repro.summaries), created lazily
         # on the first "summary" run and kept for the instance's
         # lifetime: analyzing several apps through one TAJ object
@@ -231,14 +225,8 @@ class TAJ:
                 engine = TaintEngine(sdg, direct, heap_graph, self.rules,
                                      config.budget,
                                      strategy=config.slicing, obs=obs,
-                                     resilience=armed, jobs=config.jobs,
-                                     shard_grain=config.shard_grain,
-                                     start_method=config.start_method,
-                                     supervision=self._supervision(),
-                                     checkpoint=self._checkpoint(
-                                         confirm_sources),
-                                     summary_backend=backend,
-                                     pool_lease=self.pool_lease)
+                                     resilience=armed,
+                                     summary_backend=backend)
                 taint = engine.run()
                 span.set(flows=len(taint.flows), failed=taint.failed)
         except Exception as exc:
@@ -335,44 +323,6 @@ class TAJ:
             self._summary_backend = SummaryBackend(
                 self.config.summary_cache_dir)
         return self._summary_backend
-
-    def _supervision(self):
-        """The pool-supervision policy from the config's knobs (None
-        when every knob is at its default — the engine then uses the
-        package defaults, keeping the snapshot unchanged)."""
-        config = self.config
-        if (config.max_shard_retries, config.max_pool_restarts,
-                config.hang_multiple, config.hang_seconds) \
-                == (2, 3, 4.0, None):
-            return None
-        from ..parallel import SupervisionPolicy
-        return SupervisionPolicy(
-            max_shard_retries=config.max_shard_retries,
-            max_pool_restarts=config.max_pool_restarts,
-            hang_multiple=config.hang_multiple,
-            hang_seconds=config.hang_seconds)
-
-    def _checkpoint(self, sources: Optional[List[str]]):
-        """The shard checkpoint journal when ``--checkpoint`` is set.
-
-        The identity fingerprint covers every config knob, the corpus,
-        and the rule names — a journal written by any other analysis is
-        foreign and discarded.  Requires the raw sources (the corpus
-        half of the identity), so ``analyze_prepared`` called without
-        them never checkpoints."""
-        config = self.config
-        if (config.checkpoint_dir is None or config.jobs <= 1
-                or sources is None):
-            return None
-        from ..obs.ledger import (config_fingerprint, corpus_hash,
-                                  sha256_fingerprint)
-        from ..parallel import CheckpointJournal
-        fingerprint = sha256_fingerprint({
-            "config": config_fingerprint(config),
-            "corpus": corpus_hash(sources),
-            "rules": sorted(rule.name for rule in self.rules),
-        })
-        return CheckpointJournal(config.checkpoint_dir, fingerprint)
 
     def _make_resilience(self) -> ResilienceContext:
         config = self.config

@@ -36,8 +36,7 @@ from .ledger import (LedgerError, append_record, comparable_records,
                      read_ledger, record_from_result)
 from .metrics import (Histogram, MetricsRegistry, NULL_REGISTRY,
                       NullMetricsRegistry, percentile)
-from .profile import (ProfileData, SamplingProfiler, profile_shard,
-                      write_collapsed)
+from .profile import ProfileData, SamplingProfiler, write_collapsed
 from .progress import NULL_PROGRESS, NullProgress, Progress
 from .provenance import (FlowWitness, NULL_AUDIT, NullProvenanceAudit,
                          ProvenanceAudit, RuleConsultation)
@@ -50,10 +49,10 @@ __all__ = [
     "Progress", "ProvenanceAudit", "RuleConsultation",
     "SamplingProfiler", "Span", "Tracer", "append_record",
     "chrome_trace_events", "comparable_records", "config_fingerprint",
-    "corpus_hash", "host_fingerprint", "percentile", "profile_shard",
-    "read_ledger", "record_from_result", "span_dicts",
-    "write_audit_json", "write_chrome_trace", "write_collapsed",
-    "write_metrics_json", "write_spans_jsonl",
+    "corpus_hash", "host_fingerprint", "percentile", "read_ledger",
+    "record_from_result", "span_dicts", "write_audit_json",
+    "write_chrome_trace", "write_collapsed", "write_metrics_json",
+    "write_spans_jsonl",
 ]
 
 

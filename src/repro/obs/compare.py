@@ -177,9 +177,8 @@ def compare_ledger(path: str, window: int = DEFAULT_WINDOW,
 
     ``wall`` policy: ``"auto"`` applies wall gates only when the whole
     baseline window shares the newest record's host fingerprint (the
-    1-core-container / CI-runner case degrades to counter gates, the
-    same spirit as the parallel-scaling CI gate); ``"on"`` forces them;
-    ``"off"`` disables them.
+    1-core-container / CI-runner case degrades to counter gates);
+    ``"on"`` forces them; ``"off"`` disables them.
     """
     records = read_ledger(path)
     if not records:

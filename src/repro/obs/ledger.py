@@ -44,18 +44,12 @@ from typing import Dict, Iterable, List, Optional
 LEDGER_SCHEMA = 1
 
 # Counters copied from a metrics snapshot into ``record["counters"]``:
-# deterministic work measures, comparable across hosts.  The
-# ``taint.pool.*`` supervision counters are deterministic under a
-# scripted fault plan (benchmarks/fault_injection.py rows record them),
-# and present only when supervision actually intervened — so the
-# sentinel gates them exactly when the scenario says they must appear.
+# deterministic work measures, comparable across hosts.
 WORK_COUNTERS = (
     "pointer.propagations", "pointer.edges", "pointer.nodes_processed",
     "pointer.cycles_collapsed", "pointer.keys_merged",
     "taint.rules_consulted", "taint.flows",
     "taint.suppressed_by_length", "report.issues",
-    "taint.pool.retries", "taint.pool.restarts",
-    "taint.pool.quarantined",
     # Summary-cache effectiveness (repro.summaries): deterministic for
     # a given (cache state, corpus) pair, present only on "summary"
     # runs — the sentinel flags a cache that stopped hitting, not just
@@ -209,9 +203,7 @@ def read_ledger(path: str) -> List[Dict]:
     ``write``.  That record never finished existing, so it is skipped
     with a :class:`UserWarning` naming ``path:lineno`` instead of
     poisoning the whole ledger; every *terminated* line must still
-    parse.  The checkpoint journal
-    (:mod:`repro.parallel.checkpoint`) leans on exactly this tolerance
-    to survive interruption at any byte."""
+    parse."""
     records: List[Dict] = []
     with open(path, encoding="utf-8") as handle:
         text = handle.read()

@@ -111,32 +111,6 @@ class MetricsRegistry:
         for name, value in counters.items():
             self.inc(prefix + name, value)
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Absorb another registry (e.g. a parallel worker's snapshot).
-
-        Counters sum; gauges keep the maximum (a worker's high-water
-        mark is a lower bound on the run's); timer and value histograms
-        concatenate their raw observations, so merged summaries are the
-        summaries of the pooled data.  Disabled registries contribute
-        nothing.
-        """
-        if not getattr(other, "enabled", False):
-            return
-        for name, value in other._counters.items():
-            self.inc(name, value)
-        for name, value in other._gauges.items():
-            self.gauge_max(name, value)
-        for name, hist in other._timers.items():
-            mine = self._timers.get(name)
-            if mine is None:
-                mine = self._timers[name] = Histogram()
-            mine.values.extend(hist.values)
-        for name, hist in other._histograms.items():
-            mine = self._histograms.get(name)
-            if mine is None:
-                mine = self._histograms[name] = Histogram()
-            mine.values.extend(hist.values)
-
     # -- reading -----------------------------------------------------------
 
     def counter_value(self, name: str) -> float:
@@ -186,9 +160,6 @@ class NullMetricsRegistry:
 
     def merge_counters(self, counters: Mapping[str, float],
                        prefix: str = "") -> None:
-        pass
-
-    def merge(self, other: object) -> None:
         pass
 
     def counter_value(self, name: str) -> float:

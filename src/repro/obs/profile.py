@@ -22,14 +22,10 @@ Two backends, both stdlib-only:
 ``backend="auto"`` picks ``signal`` on the main thread of platforms
 that have ``setitimer``, ``thread`` otherwise.
 
-Samples accumulate in a picklable :class:`ProfileData`: collapsed call
-stacks (root→leaf, prefixed with the phase) keyed to sample counts —
-Brendan Gregg's *collapsed stack* format, renderable with any
-``flamegraph.pl``-compatible tool.  Worker processes of the parallel
-taint sweep (:mod:`repro.parallel`) run their own profiler per shard
-and ship the data home on the :class:`~repro.taint.engine.ShardOutcome`;
-:meth:`SamplingProfiler.absorb` merges them, so serial and ``--jobs N``
-runs both end with one whole-pipeline profile (``docs/observability.md``).
+Samples accumulate in a :class:`ProfileData`: collapsed call stacks
+(root→leaf, prefixed with the phase) keyed to sample counts — Brendan
+Gregg's *collapsed stack* format, renderable with any
+``flamegraph.pl``-compatible tool (``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -45,8 +41,7 @@ from typing import Dict, List, Optional, Tuple
 # samples.
 DEFAULT_INTERVAL = 0.004
 
-# Phase label used when no tracer is attached (pool workers profile
-# only shard slicing, which is taint-phase work by construction).
+# Phase label used when no tracer is attached.
 DEFAULT_PHASE = "untracked"
 
 # Frames from these filenames are the profiler observing itself (or the
@@ -68,12 +63,10 @@ HOT_LOOPS = {
 
 
 class ProfileData:
-    """Accumulated samples: ``(phase, stack) -> count``, picklable.
+    """Accumulated samples: ``(phase, stack) -> count``.
 
     ``stack`` is a root-first tuple of ``"file.function"`` frames.  All
-    arithmetic is in sample counts against one fixed ``interval``;
-    :meth:`merge` rescales a donor recorded at a different interval so
-    seconds are conserved.
+    arithmetic is in sample counts against one fixed ``interval``.
     """
 
     __slots__ = ("interval", "counts")
@@ -90,17 +83,6 @@ class ProfileData:
             count: int = 1) -> None:
         key = (phase, stack)
         self.counts[key] = self.counts.get(key, 0) + count
-
-    def merge(self, other: "ProfileData") -> None:
-        """Absorb another profile; donor counts recorded at a different
-        sampling interval are rescaled so *seconds* are conserved."""
-        if not other.counts:
-            return
-        scale = other.interval / self.interval
-        for key, count in other.counts.items():
-            scaled = count if scale == 1.0 else max(
-                1, round(count * scale))
-            self.counts[key] = self.counts.get(key, 0) + scaled
 
     # -- reading -----------------------------------------------------------
 
@@ -192,17 +174,16 @@ class SamplingProfiler:
 
     ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) supplies the
     current phase: the outermost open ``phase.*`` span, read at sample
-    time.  Without one, every sample lands under ``fixed_phase``.
+    time.  Without one, every sample lands under :data:`DEFAULT_PHASE`.
 
-    Thread-safety: ``start``/``stop``/``pause``/``resume`` are intended
-    for the owning thread; the sample handlers only append to the data
-    dict, which the GIL serializes.
+    Thread-safety: ``start``/``stop`` are intended for the owning
+    thread; the sample handlers only append to the data dict, which the
+    GIL serializes.
     """
 
     def __init__(self, interval: float = DEFAULT_INTERVAL,
                  tracer: Optional[object] = None,
                  backend: str = "auto",
-                 fixed_phase: str = DEFAULT_PHASE,
                  max_depth: int = 64) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -210,12 +191,10 @@ class SamplingProfiler:
             raise ValueError(f"unknown profiler backend {backend!r}")
         self.interval = interval
         self.tracer = tracer
-        self.fixed_phase = fixed_phase
         self.max_depth = max_depth
         self.data = ProfileData(interval)
         self.backend = self._pick_backend(backend)
         self.running = False
-        self._paused = False
         self._prev_handler = None
         self._thread: Optional[threading.Thread] = None
         self._stop_event = threading.Event()
@@ -235,23 +214,21 @@ class SamplingProfiler:
     def _current_phase(self) -> str:
         tracer = self.tracer
         if tracer is None:
-            return self.fixed_phase
+            return DEFAULT_PHASE
         stack = getattr(tracer, "_stack", None)
         if not stack:
-            return self.fixed_phase
+            return DEFAULT_PHASE
         # Roots of the span forest are the pipeline phases; the
         # outermost open span names the one we are inside.
         root = stack[0]
         name = root.name
         if name.startswith("phase."):
             return name[len("phase."):]
-        return name or self.fixed_phase
+        return name or DEFAULT_PHASE
 
     # -- signal backend ----------------------------------------------------
 
     def _on_signal(self, _signum, frame) -> None:
-        if self._paused:
-            return
         self.data.add(self._current_phase(),
                       _capture(frame, self.max_depth))
 
@@ -260,8 +237,6 @@ class SamplingProfiler:
     def _sample_loop(self) -> None:
         ident = self._target_ident
         while not self._stop_event.wait(self.interval):
-            if self._paused:
-                continue
             frame = sys._current_frames().get(ident)
             if frame is None:
                 continue
@@ -273,7 +248,6 @@ class SamplingProfiler:
     def start(self) -> "SamplingProfiler":
         if self.running:
             return self
-        self._paused = False
         if self.backend == "signal":
             self._prev_handler = signal.signal(signal.SIGPROF,
                                                self._on_signal)
@@ -305,21 +279,6 @@ class SamplingProfiler:
         self.running = False
         return self.data
 
-    def pause(self) -> None:
-        """Suspend sampling without tearing the backend down — used by
-        the taint engine while the worker pool runs, so parent
-        pool-wait frames do not double-count the shard work the
-        workers profile themselves."""
-        self._paused = True
-
-    def resume(self) -> None:
-        self._paused = False
-
-    def absorb(self, data: Optional[ProfileData]) -> None:
-        """Merge a worker shard's shipped profile into this one."""
-        if data is not None:
-            self.data.merge(data)
-
     def payload(self) -> Dict[str, object]:
         return self.data.payload()
 
@@ -330,12 +289,3 @@ class SamplingProfiler:
         self.stop()
         return False
 
-
-def profile_shard(interval: Optional[float]):
-    """Worker-side helper: a started profiler attributing everything to
-    the taint phase (shards are taint-phase work by construction), or
-    ``None`` when profiling is off.  The worker runs single-shard, so
-    the thread backend is chosen only off the main thread."""
-    if interval is None:
-        return None
-    return SamplingProfiler(interval=interval, fixed_phase="taint").start()

@@ -5,13 +5,13 @@ the heartbeat is a daemon thread that prints one status line to stderr
 every ``interval`` seconds:
 
     [taj 12.4s] phase=pointer_analysis worklist=481 cg_nodes=96
-    [taj 48.9s] phase=taint rule=XSS rules=3/7 shards=5/9
+    [taj 48.9s] phase=taint rule=XSS rules=3/7
 
 The *phase* comes from the tracer's open-span stack (the outermost
 ``phase.*`` span); everything after it is a free-form field dict that
 pipeline seams update through :meth:`Progress.update` — the pointer
 solver publishes its worklist depth per alternation, the taint sweep
-its rule/shard progress.  Updates are plain dict writes (GIL-atomic)
+its rule progress.  Updates are plain dict writes (GIL-atomic)
 at per-alternation/per-rule granularity, so the hot loops stay
 untouched.  :class:`NullProgress` is the disabled default: ``update``
 is a no-op, nothing is printed, nothing is allocated.
@@ -27,8 +27,7 @@ from typing import Dict, Optional, TextIO
 DEFAULT_INTERVAL = 1.0
 
 # Render order for well-known fields; anything else follows, sorted.
-_FIELD_ORDER = ("worklist", "cg_nodes", "rule", "rules", "shards",
-                "flows")
+_FIELD_ORDER = ("worklist", "cg_nodes", "rule", "rules", "flows")
 
 
 class Progress:

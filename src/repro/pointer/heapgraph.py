@@ -34,8 +34,7 @@ class HeapGraph:
         # field key -> bitset of the instance keys it may point to.
         self._pts_bits: Dict[object, int] = {}
         # Local dense-ID registry for foreign key families; ``None``
-        # marks the interner's global ID space.  Plain attributes (not
-        # closures) so the graph pickles into worker-pool snapshots.
+        # marks the interner's global ID space.
         self._table: Optional[List[object]] = None
         self._index: Optional[Dict[object, int]] = None
         iter_bits = getattr(analysis, "iter_pts_bits", None)

@@ -150,33 +150,6 @@ class PointerAnalysis:
         self._scc_seconds = 0.0
         self._solve_started = 0.0
 
-    # A solved analysis pickles as its *solution*: the points-to bits,
-    # the union-find normalizing keys into cycle representatives, and
-    # the call graph — everything the query API (``points_to*``,
-    # ``iter_pts*``) reads.  Solver-time collaborators (context policy,
-    # native summaries, ordering policy, obs, resilience) and the
-    # constraint-graph worklists do not travel; the unpickled object
-    # answers queries but cannot resume ``solve()``.  This is what lets
-    # the taint engine ship one analysis snapshot to a persistent
-    # worker pool (``repro.parallel``) under any start method.
-    _SNAPSHOT_ATTRS = ("program", "pts", "call_graph", "_scc",
-                       "truncated", "deadline_exceeded", "stats",
-                       "phase_seconds", "excluded_classes")
-
-    def __getstate__(self):
-        return {name: getattr(self, name)
-                for name in self._SNAPSHOT_ATTRS}
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self.hierarchy = None
-        self.policy = None
-        self.natives = None
-        self.order = None
-        self.budget = UNBOUNDED
-        self.resilience = None
-        self.obs = DISABLED
-
     # ------------------------------------------------------------------ API
 
     def solve(self) -> None:

@@ -72,7 +72,7 @@ def build_report(flows: List[TaintFlow], rules: RuleSet,
     """
     obs = obs or DISABLED
     # Canonical order before grouping: representatives and issue order
-    # must not depend on flow discovery order (serial vs --jobs N).
+    # must not depend on flow discovery order.
     flows = canonical_flows(flows)
     groups = group_flows(flows, rules)
     obs.audit.record_groups(groups)

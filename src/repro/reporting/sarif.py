@@ -4,7 +4,10 @@ tooling (code scanners, IDE plugins, GitHub code scanning) consumes.
 The mapping is straightforward: each security rule becomes a SARIF
 reporting rule; each grouped issue becomes a result whose location is
 the sink statement, with the source and the LCP (the remediation point,
-paper §5) attached as related locations.
+paper §5) attached as related locations.  A run that ended before
+reporting (deadline, failure) has no report and yields zero results;
+its ``completeness`` verdict rides in ``invocations[0]`` so an empty
+log from a cut-short run does not read as a clean one.
 """
 
 from __future__ import annotations
@@ -58,13 +61,16 @@ def _result(issue: Issue) -> Dict:
     }
 
 
-def to_sarif(report: Report, rules: Optional[RuleSet] = None,
-             tool_version: str = "1.0.0") -> Dict:
-    """Convert a report to a SARIF log dictionary."""
+def to_sarif(report: Optional[Report], rules: Optional[RuleSet] = None,
+             tool_version: str = "1.0.0",
+             completeness: Optional[str] = None) -> Dict:
+    """Convert a report (``None``: the run ended before reporting) to a
+    SARIF log dictionary, recording ``completeness`` when given."""
+    issues = report.issues if report is not None else []
     rule_descriptors: List[Dict] = []
     seen = set()
     candidates = list(rules) if rules is not None else []
-    reported = {issue.rule for issue in report.issues}
+    reported = {issue.rule for issue in issues}
     for rule in candidates:
         if rule.name in seen:
             continue
@@ -79,25 +85,29 @@ def to_sarif(report: Report, rules: Optional[RuleSet] = None,
             "id": name,
             "shortDescription": {"text": f"Tainted flow ({name})"},
         })
-    return {
-        "$schema": _SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro-taj",
-                    "informationUri":
-                        "https://doi.org/10.1145/1542476.1542486",
-                    "version": tool_version,
-                    "rules": rule_descriptors,
-                },
+    run: Dict = {
+        "tool": {
+            "driver": {
+                "name": "repro-taj",
+                "informationUri":
+                    "https://doi.org/10.1145/1542476.1542486",
+                "version": tool_version,
+                "rules": rule_descriptors,
             },
-            "results": [_result(issue) for issue in report.issues],
-        }],
+        },
+        "results": [_result(issue) for issue in issues],
     }
+    if completeness is not None:
+        run["invocations"] = [{
+            "executionSuccessful": completeness == "complete",
+            "properties": {"completeness": completeness},
+        }]
+    return {"$schema": _SCHEMA, "version": SARIF_VERSION, "runs": [run]}
 
 
-def render_sarif(report: Report, rules: Optional[RuleSet] = None,
-                 indent: int = 2) -> str:
+def render_sarif(report: Optional[Report],
+                 rules: Optional[RuleSet] = None, indent: int = 2,
+                 completeness: Optional[str] = None) -> str:
     """The SARIF log as a JSON string."""
-    return json.dumps(to_sarif(report, rules), indent=indent)
+    return json.dumps(to_sarif(report, rules, completeness=completeness),
+                      indent=indent)

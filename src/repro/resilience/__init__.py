@@ -28,22 +28,19 @@ Semantics and the fault-plan format: ``docs/robustness.md``.
 """
 
 from .context import (COMPLETE, FAILED, LADDER, PARTIAL_BUDGET,
-                      PARTIAL_CRASH, PARTIAL_DEADLINE, PARTIAL_FAULT,
-                      Degradation, ResilienceContext, next_strategy,
-                      trigger_of)
+                      PARTIAL_DEADLINE, PARTIAL_FAULT, Degradation,
+                      ResilienceContext, next_strategy, trigger_of)
 from .deadline import Deadline, DeadlineExceeded
 from .diagnostics import Diagnostic, DiagnosticsCollector, \
     classify_exception
-from .faults import (ACTIONS, EXCEPTIONS, PROCESS_ACTIONS, PROCESS_SEAMS,
-                     Fault, FaultInjector, FaultPlan, InjectedFault,
-                     WorkerCrashError)
+from .faults import (ACTIONS, EXCEPTIONS, SEAMS, Fault, FaultInjector,
+                     FaultPlan, InjectedFault)
 
 __all__ = [
     "ACTIONS", "COMPLETE", "Deadline", "DeadlineExceeded", "Degradation",
     "Diagnostic", "DiagnosticsCollector", "EXCEPTIONS", "FAILED", "Fault",
     "FaultInjector", "FaultPlan", "InjectedFault", "LADDER",
-    "PARTIAL_BUDGET", "PARTIAL_CRASH", "PARTIAL_DEADLINE", "PARTIAL_FAULT",
-    "PROCESS_ACTIONS", "PROCESS_SEAMS", "ResilienceContext",
-    "WorkerCrashError", "classify_exception", "next_strategy",
+    "PARTIAL_BUDGET", "PARTIAL_DEADLINE", "PARTIAL_FAULT",
+    "ResilienceContext", "SEAMS", "classify_exception", "next_strategy",
     "trigger_of",
 ]

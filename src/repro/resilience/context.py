@@ -12,9 +12,6 @@ into the run's completeness state:
 * ``partial-budget``    — a §6 work budget cut work short;
 * ``partial-fault``     — a fault was absorbed (quarantined source,
   injected/internal error in a non-essential phase) but results exist;
-* ``partial-crash``     — a worker *process* died repeatedly (SIGKILL,
-  hang, OOM) and a quarantined shard could not be salvaged, so some
-  rules' flows are missing (``repro.parallel.supervisor``);
 * ``failed``            — an essential phase died; the result carries
   diagnostics but no useful analysis.
 
@@ -42,7 +39,6 @@ COMPLETE = "complete"
 PARTIAL_BUDGET = "partial-budget"
 PARTIAL_DEADLINE = "partial-deadline"
 PARTIAL_FAULT = "partial-fault"
-PARTIAL_CRASH = "partial-crash"
 FAILED = "failed"
 
 # The fallback order: most precise strategy -> cheapest.  ``None`` means
@@ -154,30 +150,12 @@ class ResilienceContext:
         if self.failed_phase is None:
             self.failed_phase = phase
 
-    def absorb_child(self, degradations: List[Degradation],
-                     diagnostics: List) -> None:
-        """Replay the resilience record of a child process.
-
-        A forked worker (the parallel taint sweep) degrades and
-        diagnoses against its *copy* of this context; those mutations
-        die with the fork, so the worker ships its records home and the
-        parent replays them here — keeping :meth:`completeness` correct
-        no matter which process absorbed the fault."""
-        self.degradations.extend(degradations)
-        self.diagnostics.diagnostics.extend(diagnostics)
-
     # -- summary -----------------------------------------------------------
 
     def completeness(self) -> str:
         if self.failed_phase is not None:
             return FAILED
         triggers = {d.trigger for d in self.degradations}
-        # A crash outranks the other partial verdicts: work is missing
-        # because a *process* died (a failure mode cooperative checks
-        # never saw), which the reader must not mistake for a budget
-        # decision they configured.
-        if "crash" in triggers:
-            return PARTIAL_CRASH
         if "deadline" in triggers:
             return PARTIAL_DEADLINE
         if "budget" in triggers:

@@ -76,14 +76,6 @@ class Deadline:
         self.start()
         self._tripped = True
 
-    @property
-    def tripped(self) -> bool:
-        """Whether :meth:`trip` forced expiry (as opposed to the clock
-        running out).  A pool worker ships this home so the parent's
-        deadline expires too — a forced trip in a child process is
-        invisible to the parent's own clock."""
-        return self._tripped
-
     def check(self, phase: str) -> None:
         """Raise :class:`DeadlineExceeded` if the budget is spent."""
         if self.expired():

@@ -15,13 +15,9 @@ seam                      fired
 ``slicing.hybrid``        once per rule attempted with the hybrid strategy
 ``slicing.cs``            once per rule attempted with the CS strategy
 ``slicing.ci``            once per rule attempted with the CI strategy
+``slicing.summary``       once per rule attempted with the summary strategy
 ``reporting.build``       once, before §5 report construction
-``worker.init``           once per pool-worker initialization (process
-                          actions only; ``at`` is ignored, ``attempts``
-                          counts pool generations)
-``worker.shard``          once per shard execution in a pool worker
-                          (process actions only; ``at`` is the *shard
-                          index*, ``attempts`` the shard's retry count)
+``confirm.replay``        once, before dynamic confirmation (``--confirm``)
 ========================  ====================================================
 
 A :class:`FaultPlan` scripts faults against those seams: *"raise
@@ -33,21 +29,8 @@ the CI job (``benchmarks/fault_injection.py``) prove that every seam
 failure yields a :class:`~repro.core.results.TAJResult` with
 diagnostics instead of an unhandled traceback.
 
-The ``worker.*`` seams script **process-level crash modes** for the
-parallel sweep's supervisor (``repro.parallel.supervisor``): a worker
-that SIGKILLs itself (``kill-worker``), wedges until the heartbeat
-watchdog reaps it (``hang-worker``), or ships home garbage instead of a
-:class:`~repro.taint.engine.ShardOutcome` (``corrupt-outcome``).  These
-actions only ever execute inside a pool worker process — in the parent
-(the serial quarantine re-run of a poison shard) a matching crash fault
-raises :class:`WorkerCrashError` instead, standing in for "this shard
-deterministically kills its host process".  Matching is positional, not
-counter-driven: ``at`` names the shard index (``-1`` = every shard) and
-``attempts`` bounds how many retries keep crashing (``-1`` = all of
-them), so crash plans replay identically under any worker scheduling.
-
 Plans serialize to/from plain dicts (the *fault-plan format* of
-``docs/robustness.md``) so CI jobs can keep them as JSON.
+``docs/robustness.md``), so a plan can live in a JSON file.
 """
 
 from __future__ import annotations
@@ -60,31 +43,20 @@ from ..bounds import BudgetExhausted
 from ..lang.errors import SourceError
 from .deadline import Deadline, DeadlineExceeded
 
-# Process actions execute in (or stand for) a pool worker's *process*,
-# not at a cooperative seam of its interpreter loop; the supervisor is
-# the component that survives them.
-PROCESS_ACTIONS = ("kill-worker", "hang-worker", "corrupt-outcome")
-ACTIONS = ("raise", "trip-deadline", "corrupt") + PROCESS_ACTIONS
+# The seams the pipeline checks (the table above); a plan naming any
+# other seam would never fire, so it is rejected up front.
+SEAMS = ("frontend.source", "modeling.pass", "pointer.solve", "sdg.build",
+         "tabulation.step", "ci.step", "slicing.hybrid", "slicing.cs",
+         "slicing.ci", "slicing.summary", "reporting.build",
+         "confirm.replay")
+ACTIONS = ("raise", "trip-deadline", "corrupt")
 EXCEPTIONS = ("fault", "budget", "deadline", "source")
-
-# Seams that only accept process actions (and vice versa).
-PROCESS_SEAMS = ("worker.init", "worker.shard")
 
 _CORRUPTION = "class { this is not jlang @@"
 
 
 class InjectedFault(RuntimeError):
     """The generic scripted failure (``exception: "fault"``)."""
-
-
-class WorkerCrashError(RuntimeError):
-    """A scripted process crash matched outside a pool worker.
-
-    Raised in the parent when a quarantined shard's serial re-run hits a
-    ``kill-worker``/``hang-worker`` fault that still matches: actually
-    executing the crash would take down the whole analysis, so the
-    supervisor records the shard as crash-degraded instead
-    (``docs/robustness.md``)."""
 
 
 @dataclass
@@ -97,12 +69,6 @@ class Fault:
     expire, so the *next* deadline check raises), or ``corrupt``
     (replace the seam's payload — only meaningful for
     ``frontend.source``).
-
-    Process actions (``worker.*`` seams) read the fields differently:
-    ``at`` is the shard index (``-1`` = every shard) and ``attempts``
-    bounds how many of that shard's attempts crash — ``1`` means only
-    the first attempt dies (the retry recovers), ``-1`` means every
-    attempt dies (the shard is poisoned).
     """
 
     seam: str
@@ -110,41 +76,25 @@ class Fault:
     action: str = "raise"
     exception: str = "fault"
     message: str = ""
-    attempts: int = 1
 
     def __post_init__(self) -> None:
+        if self.seam not in SEAMS:
+            raise ValueError(f"unknown fault seam {self.seam!r}")
         if self.action not in ACTIONS:
             raise ValueError(f"unknown fault action {self.action!r}")
         if self.exception not in EXCEPTIONS:
             raise ValueError(f"unknown fault exception {self.exception!r}")
-        if (self.seam in PROCESS_SEAMS) != (self.action in PROCESS_ACTIONS):
-            raise ValueError(
-                f"fault action {self.action!r} does not pair with seam "
-                f"{self.seam!r}: process actions {PROCESS_ACTIONS} belong "
-                f"on the worker seams {PROCESS_SEAMS} and nowhere else")
-
-    def is_process(self) -> bool:
-        return self.action in PROCESS_ACTIONS
-
-    def matches_attempt(self, ordinal: int, attempt: int) -> bool:
-        """Does this process fault fire for attempt N of shard/generation
-        ``ordinal``?"""
-        if self.at not in (-1, ordinal):
-            return False
-        return self.attempts == -1 or attempt < self.attempts
 
     def to_dict(self) -> Dict[str, object]:
         return {"seam": self.seam, "at": self.at, "action": self.action,
-                "exception": self.exception, "message": self.message,
-                "attempts": self.attempts}
+                "exception": self.exception, "message": self.message}
 
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "Fault":
         return Fault(seam=str(data["seam"]), at=int(data.get("at", 0)),
                      action=str(data.get("action", "raise")),
                      exception=str(data.get("exception", "fault")),
-                     message=str(data.get("message", "")),
-                     attempts=int(data.get("attempts", 1)))
+                     message=str(data.get("message", "")))
 
     def build_exception(self) -> BaseException:
         message = self.message or f"injected fault at {self.seam}#{self.at}"
@@ -209,7 +159,7 @@ class FaultInjector:
         tick = self._ticks.get(seam, 0)
         self._ticks[seam] = tick + 1
         for fault in faults:
-            if fault.is_process() or fault.at != tick:
+            if fault.at != tick:
                 continue
             self.fired.append(fault)
             if fault.action == "corrupt":
@@ -220,20 +170,3 @@ class FaultInjector:
             else:
                 raise fault.build_exception()
         return payload
-
-    def process_fault(self, seam: str, ordinal: int,
-                      attempt: int) -> Optional[Fault]:
-        """Match (without executing) a process-crash fault.
-
-        Positional, not counter-driven: the caller names the shard (or
-        pool generation) and its attempt count, so the same plan fires
-        identically no matter which worker picks the shard up or in what
-        order shards finish.  Returns the first matching fault; the
-        caller decides what "fire" means (SIGKILL in a worker,
-        :class:`WorkerCrashError` in the parent's quarantine re-run).
-        """
-        for fault in self._by_seam.get(seam, ()):
-            if fault.is_process() and fault.matches_attempt(ordinal, attempt):
-                self.fired.append(fault)
-                return fault
-        return None

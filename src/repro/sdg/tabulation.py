@@ -36,8 +36,7 @@ Each fact carries small metadata, combined first-wins:
 * ``transitions`` — store→load heap hops on the witness path from the
   original taint source.  Witness-relative (not a slicer-global
   counter), so the value recorded on a flow never depends on what else
-  was sliced alongside — a prerequisite for sharding a rule's seeds
-  across workers without perturbing the report.
+  was sliced alongside.
 
 Per-rule behaviour (sanitizer cuts, sink detection) is injected via a
 :class:`RuleAdapter`, so one engine serves every security rule.

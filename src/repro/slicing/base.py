@@ -116,18 +116,13 @@ class Slicer:
         # (the taint engine) across slicer instances.  The index is a
         # whole-SDG scan that depends only on the rule and the nested
         # depth bound — both fixed per engine — and is read-only after
-        # construction, so reuse across ladder retries and shards is
-        # safe and saves the scan's cost per slice_rule call.
+        # construction, so reuse across ladder retries is safe and
+        # saves the scan's cost per slice_rule call.
         self._carrier_cache = carrier_cache
 
-    def slice_rule(self, rule: SecurityRule,
-                   seeds: Optional[List[SourceSeed]] = None
-                   ) -> List[TaintFlow]:
-        """Slice one rule.  ``seeds`` restricts the traversal to the
-        given source seeds (a shard of the rule's enumeration); ``None``
-        means every seed :func:`enumerate_sources` finds.  Flow records
-        carry only witness-relative metadata, so the union of disjoint
-        seed shards equals the whole-rule slice."""
+    def slice_rule(self, rule: SecurityRule) -> List[TaintFlow]:
+        """Slice one rule from every seed :func:`enumerate_sources`
+        finds."""
         raise NotImplementedError
 
     def _collect(self, collector: FlowCollector) -> List[TaintFlow]:

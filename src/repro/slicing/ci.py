@@ -17,7 +17,7 @@ Run per source: the traversal is a simple BFS and attribution matters.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Set, Tuple
 
 from ..sdg.nodes import Fact, RET, Stmt, StmtRef
 from ..sdg.tabulation import Meta, RuleAdapter
@@ -31,15 +31,11 @@ class CISlicer(Slicer):
 
     name = "ci"
 
-    def slice_rule(self, rule: SecurityRule,
-                   seeds: Optional[List[SourceSeed]] = None
-                   ) -> List[TaintFlow]:
+    def slice_rule(self, rule: SecurityRule) -> List[TaintFlow]:
         adapter = RuleAdapter(self.sdg, rule)
         carriers = self.make_carrier_index(adapter)
         collector = FlowCollector(rule, self.budget)
-        if seeds is None:
-            seeds = enumerate_sources(self.sdg, rule)
-        for seed in seeds:
+        for seed in enumerate_sources(self.sdg, rule):
             self._trace(seed, adapter, carriers, collector)
         return self._collect(collector)
 

@@ -40,7 +40,7 @@ from ..sdg.noheap import ANY_FIELD, CallSite, LocalEdge, NoHeapSDG
 from ..sdg.tabulation import Hit, Meta, RuleAdapter, Tabulator
 from ..taint.flows import TaintFlow
 from ..taint.rules import SecurityRule
-from .base import FlowCollector, Slicer, SourceSeed, enumerate_sources
+from .base import FlowCollector, Slicer, enumerate_sources
 
 
 def _static_channel(fld: str) -> str:
@@ -173,9 +173,7 @@ class CSSlicer(Slicer):
         super().__init__(*args, **kwargs)
         self.meter = meter
 
-    def slice_rule(self, rule: SecurityRule,
-                   seeds: Optional[List["SourceSeed"]] = None
-                   ) -> List[TaintFlow]:
+    def slice_rule(self, rule: SecurityRule) -> List[TaintFlow]:
         adapter = RuleAdapter(self.sdg, rule)
         carriers = self.make_carrier_index(adapter)
         collector = FlowCollector(rule, self.budget)
@@ -198,9 +196,7 @@ class CSSlicer(Slicer):
         tab = Tabulator(self.sdg, adapter, on_hit, meter=self.meter,
                         skip_thread_edges=True,
                         resilience=self.resilience)
-        if seeds is None:
-            seeds = enumerate_sources(self.sdg, rule)
-        for seed in seeds:
+        for seed in enumerate_sources(self.sdg, rule):
             sources[seed.origin_id] = seed.stmt.ref
             if seed.call_lhs:
                 tab.seed_origin(seed.origin_id, seed.stmt.ref.method,

@@ -42,9 +42,7 @@ class HybridSlicer(Slicer):
 
     # -- per-rule state (reset in slice_rule) --------------------------------
 
-    def slice_rule(self, rule: SecurityRule,
-                   seeds: Optional[List[SourceSeed]] = None
-                   ) -> List[TaintFlow]:
+    def slice_rule(self, rule: SecurityRule) -> List[TaintFlow]:
         adapter = RuleAdapter(self.sdg, rule)
         carriers = self.make_carrier_index(adapter)
         collector = FlowCollector(rule, self.budget)
@@ -63,9 +61,7 @@ class HybridSlicer(Slicer):
                                    collector, sources, seeded_loads)
 
         tab = self._make_tabulator(adapter, on_hit)
-        if seeds is None:
-            seeds = enumerate_sources(self.sdg, rule)
-        for seed in seeds:
+        for seed in enumerate_sources(self.sdg, rule):
             sources[seed.origin_id] = seed.stmt.ref
             if seed.call_lhs:
                 tab.seed_origin(seed.origin_id, seed.stmt.ref.method,

@@ -10,8 +10,8 @@ hash, so the key *is* the validity proof: any edit to the method, its
 resolved callees, or the rule moves the key and the old entry simply
 stops being found (it ages out by eviction, it is never served stale).
 
-Safety model, inherited from :mod:`repro.parallel.checkpoint`: a cache
-must never change *what* is computed, only *whether* it is recomputed.
+Safety model: a cache must never change *what* is computed, only
+*whether* it is recomputed.
 
 * A ``meta.json`` from another model-library version, other knobs, or
   an unknown schema marks the whole directory **foreign**: it is reset

@@ -178,8 +178,7 @@ class SummarySlicer(HybridSlicer):
 
     Identical traversal; the only differences are the tabulator factory
     (sealing) and a post-rule harvest.  Without a backend it *is* the
-    hybrid slicer — the degenerate form a pool worker runs when the
-    snapshot shipped without one.
+    hybrid slicer.
     """
 
     name = "summary"
@@ -200,8 +199,8 @@ class SummarySlicer(HybridSlicer):
             resilience=self.resilience, provider=provider)
         return self._tab
 
-    def slice_rule(self, rule, seeds=None):
-        flows = super().slice_rule(rule, seeds=seeds)
+    def slice_rule(self, rule):
+        flows = super().slice_rule(rule)
         # Harvest only after a *completed* traversal: a budget or
         # deadline trip unwinds past this point, and a half-explored
         # region must never be cached as a summary.
@@ -233,9 +232,7 @@ class SummaryBackend:
     Lifecycle: construct (optionally with a cache directory), then per
     program :meth:`prepare` computes the transitive key table and loads
     the cache; slicers pull providers and push harvests; the engine
-    calls :meth:`publish` to surface the counters.  Picklable for the
-    parallel snapshot — derived per-program tables rebuild lazily in
-    the worker.
+    calls :meth:`publish` to surface the counters.
     """
 
     def __init__(self, cache_dir: Optional[str] = None,
@@ -252,7 +249,7 @@ class SummaryBackend:
         self.misses = 0
         self.stale = 0
         self.evictions = 0
-        # Per-program derived state (lazy; dropped on pickle).
+        # Per-program derived state (lazy; rebuilt per SDG).
         self._keys: Optional[Dict[str, str]] = None
         self._sdg_id: Optional[int] = None
         self._stores: Optional[Dict[StmtRef, StoreSite]] = None
@@ -289,16 +286,6 @@ class SummaryBackend:
                         for sites in sdg.stores_by_field.values()
                         for site in sites}
         self._rebound = {}
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        # Derived tables rebuild against the worker's SDG; rebound Hit
-        # objects hold Stmt references into the parent's program.
-        state["_keys"] = None
-        state["_sdg_id"] = None
-        state["_stores"] = None
-        state["_rebound"] = {}
-        return state
 
     def _rule_fp(self, rule) -> str:
         fp = self._rule_fps.get(rule.name)

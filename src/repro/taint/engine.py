@@ -13,53 +13,27 @@ ladder disabled) a budget trip is the paper's CS out-of-memory failure:
 the run is marked failed — but flows from rules that completed are still
 reported, never wiped.
 
-Parallel sweep (``jobs > 1``): the sweep fans out over a **persistent
-worker pool** (:mod:`repro.parallel`).  The engine plans a deterministic
-shard list — per-(rule × entrypoint seed group) where splitting is
-semantics-preserving, whole rules where a shared budget forbids it
-(:func:`repro.parallel.shards.plan_shards`) — ships one serialized
-engine snapshot to each worker at pool startup (any start method; see
-:mod:`repro.parallel.snapshot`), then streams shard indices with
-dynamic dispatch.  Each shard walks its *own* rung of the degradation
-ladder against a fresh copy of the resilience context (a tripped shard
-degrades that shard, not the run, and the behaviour is a function of
-the shard — never of worker scheduling), and ships back a picklable
-:class:`ShardOutcome`.  The parent collects outcomes **in shard order**
-and folds them per rule, so the merged spans, metrics, degradations,
-and flows do not depend on completion order.  ``jobs=1`` is the
-unmodified serial reference path.  Either way the engine's flows leave
-in :func:`~repro.taint.flows.canonical_flows` order, which is what
-makes ``--jobs N`` and serial runs byte-identical
-(``docs/performance.md``).
+The sweep is serial, one rule after another.  The engine's flows leave
+in :func:`~repro.taint.flows.canonical_flows` order, the form every
+consumer downstream (grouping, JSON, the differential harness) reads.
 """
 
 from __future__ import annotations
 
-import copy
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..bounds import Budget, BudgetExhausted, StateMeter
-from ..obs import DISABLED, MetricsRegistry
+from ..obs import DISABLED
 from ..pointer.heapgraph import HeapGraph
-from ..resilience import (Degradation, DeadlineExceeded, Diagnostic,
-                          next_strategy, trigger_of)
+from ..resilience import (Degradation, DeadlineExceeded, next_strategy,
+                          trigger_of)
 from ..sdg.hsdg import DirectEdges
 from ..sdg.noheap import NoHeapSDG
 from ..slicing import CISlicer, CSSlicer, HybridSlicer, Slicer
 from ..slicing.base import enumerate_sources
 from .flows import TaintFlow, canonical_flows
 from .rules import RuleSet
-
-# Ladder rungs ordered precise -> cheap, for merging per-rule final
-# strategies into the sweep-level one.  "summary" sits beside hybrid in
-# precision (identical flows by construction) but above it in rank: its
-# fallback rung *is* hybrid, so a degraded summary sweep reports the
-# strategy it actually finished on.
-_STRATEGY_RANK = {"cs": 0, "summary": 1, "hybrid": 2, "ci": 3}
-_DEFAULT_RANK = _STRATEGY_RANK["hybrid"]
 
 
 @dataclass
@@ -91,46 +65,6 @@ class TaintResult:
         for flow in self.flows:
             out.setdefault(flow.rule, []).append(flow)
         return out
-
-
-@dataclass
-class ShardOutcome:
-    """One worker's verdict on one shard — everything the parent needs
-    to reconstruct what the serial sweep would have recorded.  Crosses
-    the process boundary by pickle; interned keys re-intern on the way
-    (``pointer.keys.__reduce__``)."""
-
-    index: int                        # shard index: the merge order
-    rule_index: int
-    rule: str
-    # Seed-group chunk (containing-method names), None = whole rule.
-    groups: Optional[Tuple[str, ...]] = None
-    flows: List[TaintFlow] = field(default_factory=list)
-    completed: bool = False
-    failed: bool = False
-    failure: Optional[str] = None
-    truncated: bool = False
-    suppressed_by_length: int = 0
-    state_units: int = 0
-    final_strategy: str = "hybrid"
-    degradations: List[Degradation] = field(default_factory=list)
-    diagnostics: List[object] = field(default_factory=list)
-    started: float = 0.0
-    duration: float = 0.0
-    metrics: Optional[MetricsRegistry] = None
-    # Collapsed-stack samples from the worker's shard profiler
-    # (repro.obs.profile.ProfileData), shipped home so serial and
-    # parallel runs both end with one merged whole-pipeline profile.
-    profile: Optional[object] = None
-    # Pool bookkeeping: which worker process ran the shard, and the
-    # one-time snapshot-deserialization cost if this was that worker's
-    # first shard (0.0 on every later shard — the persistence signal).
-    pid: int = 0
-    init_seconds: float = 0.0
-    # A forced (injected) deadline expiry happened in the worker; the
-    # parent replays it into its own deadline at merge time so the
-    # phases downstream of the sweep behave exactly as under serial.
-    deadline_tripped: bool = False
 
 
 def make_slicer(strategy: str, sdg: NoHeapSDG, direct: DirectEdges,
@@ -167,13 +101,7 @@ class TaintEngine:
                  heap_graph: HeapGraph, rules: RuleSet, budget: Budget,
                  strategy: str = "hybrid", obs: Optional[object] = None,
                  resilience: Optional[object] = None,
-                 jobs: int = 1, shard_grain: str = "auto",
-                 start_method: Optional[str] = None,
-                 shards_per_rule: Optional[int] = None,
-                 supervision: Optional[object] = None,
-                 checkpoint: Optional[object] = None,
-                 summary_backend: Optional[object] = None,
-                 pool_lease: Optional[object] = None) -> None:
+                 summary_backend: Optional[object] = None) -> None:
         self.sdg = sdg
         self.direct = direct
         self.heap_graph = heap_graph
@@ -182,35 +110,14 @@ class TaintEngine:
         self.strategy = strategy
         self.obs = DISABLED if obs is None else obs
         self.resilience = resilience
-        self.jobs = max(1, jobs)
-        # Parallel knobs (ignored when jobs == 1): the shard grain
-        # ("auto" | "rule" | "entrypoint", see repro.parallel.shards)
-        # and the multiprocessing start method (None = fork if
-        # available, else spawn).
-        self.shard_grain = shard_grain
-        self.start_method = start_method
-        # Fine-grain chunk bound override (None = the plan default);
-        # reports are identical for every value.
-        self.shards_per_rule = shards_per_rule
-        # Crash-supervision policy (repro.parallel.SupervisionPolicy,
-        # None = defaults) and the opt-in checkpoint journal
-        # (repro.parallel.CheckpointJournal, None = off).
-        self.supervision = supervision
-        self.checkpoint = checkpoint
         # Summary-cache backend (repro.summaries.SummaryBackend), used
         # only by strategy == "summary"; prepared by the caller against
         # this SDG before run().
         self.summary_backend = summary_backend
-        # Opt-in pool reuse (repro.parallel.PoolLease): amortizes worker
-        # startup across runs/apps at the price of crash supervision —
-        # see _run_leased.  Ignored when jobs == 1 or a checkpoint
-        # journal is attached.
-        self.pool_lease = pool_lease
-        self._rule_list: List = []
         # Rule-name → CarrierIndex, shared across every slicer this
         # engine creates: the index is a whole-SDG scan, fixed per
-        # (rule, nested-depth bound), and a persistent worker would
-        # otherwise rebuild it for each of a rule's shards.
+        # (rule, nested-depth bound), and a ladder rung would otherwise
+        # rebuild it for the rule it retries.
         self._carrier_cache: Dict = {}
 
     # -- strategy construction -----------------------------------------------
@@ -230,15 +137,13 @@ class TaintEngine:
             meter.charge(sum(len(v) for v in modref.values()))
         return slicer
 
-    def _recover(self, result, strategy: str,
+    def _recover(self, result: TaintResult, strategy: str,
                  exc: Exception) -> Tuple[str, Optional[Slicer]]:
         """One step of the degradation ladder, or abort the sweep.
 
-        ``result`` is the record being built — the serial sweep's
-        :class:`TaintResult` or a worker's :class:`ShardOutcome` (both
-        carry ``degradations`` / ``failed`` / ``failure``).  Returns
-        ``(strategy, slicer)``; a ``None`` slicer means the sweep (or
-        the worker's rule) stops — flows collected so far are kept.
+        Records the step on ``result`` and returns ``(strategy,
+        slicer)``; a ``None`` slicer means the sweep stops — flows
+        collected so far are kept.
         """
         res = self.resilience
         fallback = None
@@ -268,19 +173,15 @@ class TaintEngine:
     # -- the sweep -----------------------------------------------------------
 
     def run(self) -> TaintResult:
-        rules = self._rule_list = list(self.rules)
-        if self.jobs > 1 and rules:
-            result = self._run_parallel(rules)
-        else:
-            result = self._run_serial(rules)
-        # Canonical flow order — shared by every jobs setting, and the
-        # form everything downstream (grouping, JSON, differential
-        # harness) consumes.
+        rules = list(self.rules)
+        result = self._run_serial(rules)
+        # Canonical flow order: the form everything downstream
+        # (grouping, JSON, differential harness) consumes.
         result.flows = canonical_flows(result.flows)
         progress = getattr(self.obs, "progress", None)
         if progress is not None:
             progress.update(flows=len(result.flows))
-            progress.clear("rule", "rules", "shards")
+            progress.clear("rule", "rules")
         metrics = self.obs.metrics
         metrics.inc("taint.rules_consulted", len(rules))
         metrics.inc("taint.flows", len(result.flows))
@@ -294,8 +195,6 @@ class TaintEngine:
         if self.summary_backend is not None:
             self.summary_backend.publish(metrics)
         return result
-
-    # -- serial reference path ------------------------------------------------
 
     def _run_serial(self, rules: List) -> TaintResult:
         obs = self.obs
@@ -355,449 +254,4 @@ class TaintEngine:
             result.suppressed_by_length += slicer.suppressed_by_length
         result.state_units = meter.used
         result.final_strategy = strategy
-        return result
-
-    # -- parallel sweep --------------------------------------------------------
-
-    def _slice_shard(self, shard, rule, seeds: Optional[List] = None,
-                     collect_metrics: bool = False) -> ShardOutcome:
-        """Worker body: slice one shard behind its own degradation
-        ladder.  Runs inside a pool worker against the snapshot-built
-        engine; every mutation it makes (its resilience copy, a CS
-        SDG's disabled channels) is reset by the worker context before
-        the next shard, so everything the parent must know rides home
-        on the returned outcome."""
-        res = self.resilience
-        out = ShardOutcome(index=shard.index, rule_index=shard.rule_index,
-                           rule=rule.name, groups=shard.groups,
-                           final_strategy=self.strategy)
-        if collect_metrics:
-            out.metrics = MetricsRegistry()
-        strategy = self.strategy
-        meter = StateMeter(self.budget.max_state_units)
-        out.started = time.perf_counter()
-        try:
-            slicer: Optional[Slicer] = self._make(strategy, meter)
-        except (BudgetExhausted, DeadlineExceeded) as exc:
-            strategy, slicer = self._recover(out, strategy, exc)
-        while slicer is not None:
-            try:
-                if res is not None:
-                    res.check(f"slicing.{strategy}", phase="taint")
-                flows = slicer.slice_rule(rule, seeds=seeds)
-            except (BudgetExhausted, DeadlineExceeded) as exc:
-                out.truncated = out.truncated or slicer.truncated
-                out.suppressed_by_length += slicer.suppressed_by_length
-                strategy, slicer = self._recover(out, strategy, exc)
-                continue  # same shard, cheaper rung
-            except Exception as exc:
-                if res is None or not res.active:
-                    raise
-                out.diagnostics.append(
-                    res.diagnostics.absorb("taint", exc, rule=rule.name))
-                slicer = None
-                break
-            out.flows = flows
-            out.completed = True
-            break
-        out.duration = time.perf_counter() - out.started
-        if slicer is not None:
-            out.truncated = out.truncated or slicer.truncated
-            out.suppressed_by_length += slicer.suppressed_by_length
-        out.state_units = meter.used
-        out.final_strategy = strategy
-        if out.metrics is not None:
-            out.metrics.record_time("taint.pool.shard_seconds",
-                                    out.duration)
-        return out
-
-    def _seeds_for_shard(self, shard, rule) -> Optional[List]:
-        """A fine shard's seed subset, parent-side (mirrors
-        ``WorkerContext._seeds_for``)."""
-        if shard.groups is None:
-            return None
-        by_method: Dict = {}
-        for seed in enumerate_sources(self.sdg, rule):
-            by_method.setdefault(seed.stmt.ref.method, []).append(seed)
-        return [seed for method in shard.groups
-                for seed in by_method.get(method, [])]
-
-    def _run_shard_in_parent(self, shard, rule) -> ShardOutcome:
-        """Run one shard in the parent exactly as a worker would:
-        fresh resilience copy, pristine channel state, same slicing
-        body — so a quarantined or checkpoint-remainder shard produces
-        the byte-identical outcome a healthy worker would have."""
-        saved_res = self.resilience
-        saved_channels = getattr(self.sdg, "channels_enabled", None)
-        self.resilience = (copy.deepcopy(saved_res)
-                           if saved_res is not None else None)
-        try:
-            out = self._slice_shard(shard, rule,
-                                    self._seeds_for_shard(shard, rule),
-                                    self.obs.metrics.enabled)
-            shard_res = self.resilience
-        finally:
-            self.resilience = saved_res
-            if saved_channels is not None:
-                self.sdg.channels_enabled = saved_channels
-        if (shard_res is not None and shard_res.deadline is not None
-                and shard_res.deadline.tripped):
-            out.deadline_tripped = True
-        out.pid = os.getpid()
-        return out
-
-    def _run_quarantined(self, shards, rules: List, indices: List[int],
-                         attempts: Dict[int, int],
-                         journal) -> Dict[int, ShardOutcome]:
-        """Serially re-run poison shards in the parent.
-
-        A shard the supervisor gave up on gets one parent-side attempt
-        under the ordinary degradation ladder.  A scripted crash fault
-        that still matches this attempt stands for "deterministically
-        kills its host process" — executing it would kill the analysis,
-        so the shard is abandoned instead: a ``crash`` degradation plus
-        a diagnostic ride the outcome into the merge, the rule's flows
-        are dropped, and the run completes as ``partial-crash``."""
-        res = self.resilience
-        injector = res.injector if res is not None else None
-        outs: Dict[int, ShardOutcome] = {}
-        for index in sorted(indices):
-            shard = shards[index]
-            attempt = attempts.get(index, 0)
-            fault = None
-            if injector is not None:
-                fault = injector.process_fault("worker.shard", index,
-                                               attempt)
-            if fault is not None and fault.action != "corrupt-outcome":
-                # corrupt-outcome is transport-level; there is no
-                # transport in the parent, so the shard runs normally.
-                out = ShardOutcome(index=shard.index,
-                                   rule_index=shard.rule_index,
-                                   rule=shard.rule,
-                                   groups=shard.groups,
-                                   final_strategy=self.strategy)
-                detail = (fault.message
-                          or f"shard {index} ({shard.rule}) kills "
-                             f"its worker on every attempt "
-                             f"({fault.action}, {attempt} attempts)")
-                out.degradations.append(Degradation(
-                    "taint", "crash", "abandon-shard", detail))
-                out.diagnostics.append(Diagnostic(
-                    phase="taint", kind="worker-crash", message=detail,
-                    detail={"shard": index, "rule": shard.rule,
-                            "action": fault.action,
-                            "attempts": attempt}))
-                outs[index] = out
-                continue
-            out = self._run_shard_in_parent(shard,
-                                            rules[shard.rule_index])
-            if journal is not None:
-                journal.record(out)
-            outs[index] = out
-        return outs
-
-    def _run_parallel(self, rules: List) -> TaintResult:
-        from ..parallel import (EngineSnapshot, PoolSupervisor,
-                                SnapshotError, plan_fingerprint,
-                                plan_shards)
-        obs = self.obs
-        tracer = obs.tracer
-        metrics = obs.metrics
-        plan_kwargs = {}
-        if self.shards_per_rule is not None:
-            plan_kwargs["max_shards_per_rule"] = self.shards_per_rule
-        shards = plan_shards(self.sdg, rules, self.strategy, self.budget,
-                             self.shard_grain, **plan_kwargs)
-        if len(shards) < 2:
-            # Nothing to distribute; the pool would be pure overhead.
-            return self._run_serial(rules)
-        if self.pool_lease is not None and self.checkpoint is None:
-            return self._run_leased(rules, shards)
-        outcomes: List[Optional[ShardOutcome]] = [None] * len(shards)
-        journal = self.checkpoint
-        if journal is not None:
-            # Outcomes journaled by a compatible interrupted run are
-            # banked as-is; only the remainder executes.
-            for index, out in journal.resume(plan_fingerprint(shards),
-                                             len(shards)).items():
-                outcomes[index] = out
-            metrics.inc("taint.pool.shards_resumed", journal.resumed)
-        pending = [index for index, out in enumerate(outcomes)
-                   if out is None]
-        if journal is not None:
-            metrics.inc("taint.pool.shards_executed", len(pending))
-        progress = getattr(obs, "progress", None)
-        if progress is not None:
-            progress.update(
-                shards=f"{len(shards) - len(pending)}/{len(shards)}")
-        if len(pending) < 2:
-            # Zero or one shard left after resume: the pool would be
-            # pure overhead — run the remainder in the parent.  The
-            # worker_inits counter stays 0, the resume proof.
-            metrics.inc("taint.pool.worker_inits", 0)
-            metrics.gauge("taint.pool.shards", len(shards))
-            for index in pending:
-                outcomes[index] = self._run_shard_in_parent(
-                    shards[index], rules[shards[index].rule_index])
-                if journal is not None:
-                    journal.record(outcomes[index])
-            merge_started = time.perf_counter()
-            result = self._merge_outcomes(rules, outcomes)
-            metrics.gauge("taint.pool.merge_seconds",
-                          time.perf_counter() - merge_started)
-            return result
-        jobs = min(self.jobs, len(pending))
-        res = self.resilience
-        deadline_seconds = (res.deadline.seconds
-                            if res is not None and res.deadline is not None
-                            else None)
-        start_span = tracer.span("taint.pool.start", jobs=jobs,
-                                 shards=len(shards))
-        try:
-            # One-time cost, paid once per run: snapshot serialization
-            # plus worker startup.  Every shard after this reuses the
-            # same workers and the same shipped state.
-            with start_span as span:
-                snapshot = EngineSnapshot(
-                    self, shards, collect_metrics=metrics.enabled)
-                supervisor = PoolSupervisor(
-                    snapshot, jobs, len(shards),
-                    policy=self.supervision,
-                    start_method=self.start_method,
-                    deadline_seconds=deadline_seconds,
-                    tracer=tracer)
-                span.set(start_method=supervisor.start_method,
-                         snapshot_bytes=snapshot.nbytes)
-        except SnapshotError:
-            # Unshippable state (foreign solver family, injected
-            # clock): the serial reference path always works.  The
-            # aborted span keeps its auto-recorded ``error`` attr.
-            start_span.set(fallback="serial")
-            return self._run_serial(rules)
-        profiler = getattr(obs, "profiler", None)
-        on_outcome = None
-        if progress is not None:
-            resumed = len(shards) - len(pending)
-            on_outcome = (lambda done, total:
-                          progress.update(
-                              shards=f"{done + resumed}/{total}"))
-        on_result = journal.record if journal is not None else None
-        try:
-            if profiler is not None and profiler.running:
-                # Workers profile their own shards; the parent would
-                # otherwise attribute its pool-wait frames to the taint
-                # phase and double-count the shard work.
-                profiler.pause()
-            fresh, quarantined = supervisor.run(
-                pending, on_outcome=on_outcome, on_result=on_result)
-        finally:
-            if profiler is not None and profiler.running:
-                profiler.resume()
-        for index, out in enumerate(fresh):
-            if out is not None:
-                outcomes[index] = out
-        if quarantined:
-            # Poison shards: one serial attempt each in the parent,
-            # under the degradation ladder (or an honest abandonment —
-            # see _run_quarantined).
-            for index, out in self._run_quarantined(
-                    shards, rules, quarantined, supervisor.attempts,
-                    journal).items():
-                outcomes[index] = out
-        merge_started = time.perf_counter()
-        result = self._merge_outcomes(rules, outcomes)
-        stats = supervisor.stats
-        metrics.gauge("taint.parallel_jobs", jobs)
-        metrics.gauge("taint.pool.workers", jobs)
-        metrics.gauge("taint.pool.shards", len(shards))
-        metrics.gauge("taint.pool.snapshot_bytes", snapshot.nbytes)
-        metrics.gauge("taint.pool.snapshot_build_seconds",
-                      snapshot.build_seconds)
-        metrics.gauge("taint.pool.startup_seconds",
-                      snapshot.build_seconds + supervisor.startup_seconds)
-        metrics.inc("taint.pool.worker_inits",
-                    sum(1 for out in fresh
-                        if out is not None and out.init_seconds > 0))
-        # Supervision counters appear only when supervision intervened,
-        # so an untroubled run's metrics are unchanged.
-        if stats.retries:
-            metrics.inc("taint.pool.retries", stats.retries)
-        if stats.restarts:
-            metrics.inc("taint.pool.restarts", stats.restarts)
-        if stats.hangs:
-            metrics.inc("taint.pool.hangs", stats.hangs)
-        if stats.corrupt_outcomes:
-            metrics.inc("taint.pool.corrupt_outcomes",
-                        stats.corrupt_outcomes)
-        if stats.quarantined:
-            metrics.inc("taint.pool.quarantined", len(stats.quarantined))
-        metrics.gauge("taint.pool.merge_seconds",
-                      time.perf_counter() - merge_started)
-        return result
-
-    def _run_leased(self, rules: List, shards) -> TaintResult:
-        """The sweep over a leased — reused — worker pool.
-
-        The trade against the supervised path: no heartbeat array and
-        no :class:`~repro.parallel.PoolSupervisor`, so a worker fault
-        aborts the run instead of being retried or quarantined.  In
-        exchange the pool outlives the run — the next app on the same
-        :class:`~repro.parallel.PoolLease` pays a snapshot *reload*
-        into the live workers instead of process startup.  Bench and
-        batch-sweep territory (``benchmarks/parallel_scaling.py``), not
-        crash-resilient production runs.  A run that does break the
-        pool heals lazily: the lease's next ``acquire`` fails the
-        reload rendezvous and rebuilds.
-        """
-        from ..parallel import EngineSnapshot, SnapshotError
-        obs = self.obs
-        tracer = obs.tracer
-        metrics = obs.metrics
-        lease = self.pool_lease
-        start_span = tracer.span("taint.pool.start", jobs=lease.jobs,
-                                 shards=len(shards))
-        try:
-            with start_span as span:
-                snapshot = EngineSnapshot(
-                    self, shards, collect_metrics=metrics.enabled)
-                builds_before = lease.builds
-                pool = lease.acquire(snapshot)
-                reused = lease.builds == builds_before
-                span.set(start_method=pool.start_method,
-                         snapshot_bytes=snapshot.nbytes,
-                         pool_reused=reused)
-        except SnapshotError:
-            start_span.set(fallback="serial")
-            return self._run_serial(rules)
-        progress = getattr(obs, "progress", None)
-        on_outcome = None
-        if progress is not None:
-            on_outcome = (lambda done, total:
-                          progress.update(shards=f"{done}/{total}"))
-        profiler = getattr(obs, "profiler", None)
-        try:
-            if profiler is not None and profiler.running:
-                profiler.pause()
-            outcomes = pool.run_shards(len(shards),
-                                       on_outcome=on_outcome)
-        finally:
-            if profiler is not None and profiler.running:
-                profiler.resume()
-        merge_started = time.perf_counter()
-        result = self._merge_outcomes(rules, outcomes)
-        metrics.gauge("taint.parallel_jobs", lease.jobs)
-        metrics.gauge("taint.pool.workers", lease.jobs)
-        metrics.gauge("taint.pool.shards", len(shards))
-        metrics.gauge("taint.pool.snapshot_bytes", snapshot.nbytes)
-        metrics.gauge("taint.pool.snapshot_build_seconds",
-                      snapshot.build_seconds)
-        # On reuse the startup cost is the reload rendezvous, not
-        # process creation — the amortization this path exists for.
-        metrics.gauge("taint.pool.startup_seconds",
-                      snapshot.build_seconds +
-                      (pool.reload_seconds if reused
-                       else pool.startup_seconds))
-        metrics.gauge("taint.pool.reused", 1.0 if reused else 0.0)
-        metrics.inc("taint.pool.worker_inits",
-                    sum(1 for out in outcomes
-                        if out is not None and out.init_seconds > 0))
-        metrics.gauge("taint.pool.merge_seconds",
-                      time.perf_counter() - merge_started)
-        return result
-
-    def _merge_outcomes(self, rules: List,
-                        outcomes: List[ShardOutcome]) -> TaintResult:
-        """Fold shard outcomes into one :class:`TaintResult`.
-
-        ``outcomes`` arrives in shard order (the pool re-sorts after
-        dynamic dispatch), and shards are planned rule-major, so the
-        fold is per rule, in rule order — completion order never
-        reaches the result, the metrics registry, or the resilience
-        context.
-
-        Failure semantics mirror the serial sweep: the first rule with
-        a hard-failed shard (budget trip, no rung left) marks the run
-        failed, and flows from later rules are dropped — serial would
-        never have sliced them.  Their spans and metrics are still
-        merged (the work happened), but their resilience records are
-        not replayed.
-        """
-        obs = self.obs
-        tracer = obs.tracer
-        audit = obs.audit
-        profiler = getattr(obs, "profiler", None)
-        res = self.resilience
-        result = TaintResult()
-        result.final_strategy = self.strategy
-        final_rank = _STRATEGY_RANK.get(self.strategy, _DEFAULT_RANK)
-        by_rule: Dict[int, List[ShardOutcome]] = {}
-        for out in outcomes:
-            by_rule.setdefault(out.rule_index, []).append(out)
-        for rule_index, rule in enumerate(rules):
-            outs = by_rule.get(rule_index, [])
-            if not outs:
-                continue
-            # One pre-timed span and one timing observation per rule —
-            # the serial sweep's shape — aggregated over the rule's
-            # shards: earliest start, summed busy time.
-            started = min(out.started for out in outs)
-            duration = sum(out.duration for out in outs)
-            rule_rank = max(
-                _STRATEGY_RANK.get(out.final_strategy, _DEFAULT_RANK)
-                for out in outs)
-            rule_strategy = next(
-                (out.final_strategy for out in outs
-                 if _STRATEGY_RANK.get(out.final_strategy,
-                                       _DEFAULT_RANK) == rule_rank),
-                self.strategy)
-            # Within a rule the serial collector emits sort-key order;
-            # concatenated shard flows are re-sorted to match.
-            flows = [flow for out in outs for flow in out.flows]
-            flows.sort(key=TaintFlow.sort_key)
-            tracer.add_completed(
-                "taint.rule", started, duration,
-                {"rule": rule.name, "strategy": rule_strategy,
-                 "flows": len(flows), "parallel": True,
-                 "shards": len(outs)})
-            for out in outs:
-                if out.metrics is not None:
-                    obs.metrics.merge(out.metrics)
-                if out.profile is not None and profiler is not None:
-                    profiler.absorb(out.profile)
-            obs.metrics.record_time("taint.rule_seconds", duration)
-            obs.metrics.record_value("taint.rule_flows", len(flows))
-            if result.failed:
-                continue
-            for out in outs:
-                if res is not None:
-                    # Replay the shard's resilience record: the
-                    # worker-side context copy died with the shard.
-                    res.absorb_child(out.degradations, out.diagnostics)
-                    if out.deadline_tripped and res.deadline is not None:
-                        res.deadline.trip()
-                result.degradations.extend(out.degradations)
-                result.truncated = result.truncated or out.truncated
-                result.suppressed_by_length += out.suppressed_by_length
-            # Per-shard meters are independent; the sweep's abstract
-            # memory high-water mark is the worst single rule.
-            result.state_units = max(
-                result.state_units,
-                sum(out.state_units for out in outs))
-            if rule_rank > final_rank:
-                final_rank = rule_rank
-                result.final_strategy = rule_strategy
-            failed = next((out for out in outs if out.failed), None)
-            if failed is not None:
-                result.failed = True
-                result.failure = failed.failure
-                continue
-            if not all(out.completed for out in outs):
-                continue
-            if audit.enabled:
-                seeds = len(enumerate_sources(self.sdg, rule))
-                audit.record_rule(rule, seeds, len(flows))
-                for flow in flows:
-                    audit.record_flow(flow, rule, seeds)
-            result.flows.extend(flows)
-            result.completed_rules.append(rule.name)
         return result

@@ -2,8 +2,8 @@
 
 :func:`canonical_flows` defines the engine's output order.  Everything
 downstream of the per-rule sweep — report grouping, JSON payloads, the
-differential harness — consumes flows in this canonical form, which is
-what makes serial and parallel (``--jobs N``) runs byte-identical.
+differential harness — consumes flows in this canonical form, so a
+report never depends on the order in which rules or seeds were sliced.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ class TaintFlow:
         """Total order over flows that is stable across processes.
 
         Built from rendered strings and plain ints only — never from
-        identity hashes or interning order — so any two runs (serial,
-        parallel, different worker layouts) sort the same flow set into
-        the same sequence.
+        identity hashes or interning order — so any two runs sort the
+        same flow set into the same sequence.
         """
         return (self.rule, str(self.source), str(self.sink),
                 self.sink_display, str(self.lcp), self.length,

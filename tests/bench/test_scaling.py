@@ -38,7 +38,7 @@ def test_scaling_corpus_compiles_and_spreads_entrypoints():
     app = scaling_corpus(10)
     program = prepare(app.sources).program
     # ~4 flow methods per servlet: scale 10 must yield dozens of
-    # entrypoints — the dimension the parallel sweep shards on.
+    # entrypoints.
     assert len(program.entrypoints) >= 25
 
 

@@ -169,19 +169,30 @@ class S extends HttpServlet {
     assert main([str(a), str(b)]) == 1
 
 
-def test_jobs_flag_produces_identical_reports(app_file, capsys):
-    code = main(["--json", app_file])
-    serial = json.loads(capsys.readouterr().out)
-    code_par = main(["--json", "--jobs", "4", app_file])
-    parallel = json.loads(capsys.readouterr().out)
-    assert code == code_par == 1
-    serial.pop("seconds")
-    parallel.pop("seconds")
-    assert parallel == serial
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_repeated_runs_print_identical_reports(fmt, app_file, capsys):
+    """The report is a function of the input: two runs print the same
+    bytes (bar the JSON payload's wall-clock seconds)."""
+    outputs = []
+    for _ in range(2):
+        assert main(fmt + [app_file]) == 1
+        out = capsys.readouterr().out
+        if fmt:
+            payload = json.loads(out)
+            payload.pop("seconds")
+            out = payload
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
-def test_jobs_flag_text_report_identical(app_file, capsys):
-    main([app_file])
-    serial = capsys.readouterr().out
-    main(["--jobs", "3", app_file])
-    assert capsys.readouterr().out == serial
+@pytest.mark.parametrize("flag", [
+    "--jobs", "--shard-grain", "--checkpoint", "--max-shard-retries",
+    "--max-pool-restarts", "--hang-seconds"])
+def test_removed_sweep_flags_are_rejected(flag, app_file, capsys):
+    """The rule sweep is serial and has no pool knobs: a script still
+    passing one gets a usage error, not a silently ignored option."""
+    with pytest.raises(SystemExit) as exc:
+        main([flag, "2", app_file])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -48,7 +48,7 @@ def test_config_fingerprint_tracks_every_knob():
     assert config_fingerprint(base) != config_fingerprint(
         base.with_profile())
     assert config_fingerprint(base) != config_fingerprint(
-        base.with_jobs(4))
+        base.with_resilience(deadline_seconds=5.0))
 
 
 def test_host_fingerprint_shape():

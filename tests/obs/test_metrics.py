@@ -108,160 +108,7 @@ def test_null_registry_is_inert():
     assert not NULL_REGISTRY.enabled
 
 
-def test_merge_counters_sum_and_gauges_keep_max():
-    a = MetricsRegistry()
-    b = MetricsRegistry()
-    a.inc("taint.flows", 3)
-    b.inc("taint.flows", 4)
-    b.inc("taint.rules", 1)
-    a.gauge("taint.state_units", 10)
-    b.gauge("taint.state_units", 7)
-    b.gauge("taint.parallel_jobs", 4)
-    a.merge(b)
-    assert a.counter_value("taint.flows") == 7
-    assert a.counter_value("taint.rules") == 1
-    assert a.gauge_value("taint.state_units") == 10
-    assert a.gauge_value("taint.parallel_jobs") == 4
-
-
-def test_merge_concatenates_histogram_observations():
-    a = MetricsRegistry()
-    b = MetricsRegistry()
-    a.record_time("taint.rule_seconds", 1.0)
-    b.record_time("taint.rule_seconds", 3.0)
-    b.record_value("taint.rule_flows", 5)
-    a.merge(b)
-    timer = a.timer_summary("taint.rule_seconds")
-    assert timer["count"] == 2
-    assert timer["total"] == 4.0
-    assert timer["max"] == 3.0
-    hist = a.snapshot()["histograms"]["taint.rule_flows"]
-    assert hist["count"] == 1 and hist["total"] == 5
-    # The donor registry is untouched.
-    assert b.timer_summary("taint.rule_seconds")["count"] == 1
-
-
-def test_merge_of_pooled_workers_matches_single_registry():
-    """Merging per-worker registries must equal recording everything
-    into one registry (the serial/parallel metric-parity contract)."""
-    whole = MetricsRegistry()
-    workers = [MetricsRegistry() for _ in range(3)]
-    for i, reg in enumerate(workers):
-        for target in (whole, reg):
-            target.inc("taint.worker_rules")
-            target.record_time("taint.rule_seconds", 0.5 * (i + 1))
-            target.record_value("taint.rule_flows", i)
-            target.gauge_max("taint.state_units", 10 * i)
-    merged = MetricsRegistry()
-    for reg in workers:
-        merged.merge(reg)
-    assert merged.snapshot() == whole.snapshot()
-
-
-def test_merge_ignores_null_registry():
-    reg = MetricsRegistry()
-    reg.inc("x", 1)
-    reg.merge(NULL_REGISTRY)
-    assert reg.counter_value("x") == 1
-    # And the null registry absorbs nothing, silently.
-    NULL_REGISTRY.merge(reg)
-    assert NULL_REGISTRY.snapshot() == {}
-
-
-# -- merge / percentile edge cases --------------------------------------------
-
-def test_merge_of_two_empty_registries_stays_empty():
-    a = MetricsRegistry()
-    a.merge(MetricsRegistry())
-    assert a.snapshot() == {"counters": {}, "gauges": {}, "timers": {},
-                            "histograms": {}}
-
-
-def test_merge_empty_histogram_creates_empty_summary():
-    """A donor that touched a timer name without observations still
-    registers the name — with a zeroed summary, not a crash."""
-    a = MetricsRegistry()
-    b = MetricsRegistry()
-    b._timers["t.empty"] = Histogram()
-    b._histograms["h.empty"] = Histogram()
-    a.merge(b)
-    snap = a.snapshot()
-    assert snap["timers"]["t.empty"]["count"] == 0
-    assert snap["histograms"]["h.empty"]["count"] == 0
-
-
-def test_merge_single_sample_summaries():
-    a = MetricsRegistry()
-    b = MetricsRegistry()
-    b.record_time("t", 0.5)
-    a.merge(b)
-    summary = a.timer_summary("t")
-    assert summary == {"count": 1, "total": 0.5, "p50": 0.5,
-                       "p95": 0.5, "max": 0.5}
-
-
-def test_merge_disjoint_name_sets_unions():
-    a = MetricsRegistry()
-    b = MetricsRegistry()
-    a.inc("only.a", 1)
-    a.record_value("hist.a", 2)
-    b.inc("only.b", 3)
-    b.record_value("hist.b", 4)
-    a.merge(b)
-    snap = a.snapshot()
-    assert set(snap["counters"]) == {"only.a", "only.b"}
-    assert set(snap["histograms"]) == {"hist.a", "hist.b"}
-    assert a.counter_value("only.b") == 3
-
-
-def test_merge_overlapping_names_pool_per_family_semantics():
-    a = MetricsRegistry()
-    b = MetricsRegistry()
-    for reg, value in ((a, 2.0), (b, 6.0)):
-        reg.inc("shared.count", value)
-        reg.gauge_max("shared.peak", value)
-        reg.record_value("shared.sizes", value)
-    a.merge(b)
-    assert a.counter_value("shared.count") == 8.0       # summed
-    assert a.gauge_value("shared.peak") == 6.0          # max kept
-    hist = a.snapshot()["histograms"]["shared.sizes"]
-    assert hist["count"] == 2 and hist["total"] == 8.0  # pooled
-
-
-def test_merge_gauge_max_with_negative_values():
-    """gauge_max under merge keeps the arithmetic maximum even when all
-    observations are negative (e.g. a headroom-remaining gauge)."""
-    a = MetricsRegistry()
-    b = MetricsRegistry()
-    a.gauge_max("budget.headroom", -10)
-    b.gauge_max("budget.headroom", -3)
-    b.gauge_max("only.b", -7)
-    a.merge(b)
-    assert a.gauge_value("budget.headroom") == -3
-    assert a.gauge_value("only.b") == -7
-    # Merging the smaller value back does not regress the maximum.
-    b2 = MetricsRegistry()
-    b2.gauge_max("budget.headroom", -10)
-    a.merge(b2)
-    assert a.gauge_value("budget.headroom") == -3
-
-
-def test_merge_is_associative_across_workers():
-    def worker(seed):
-        reg = MetricsRegistry()
-        reg.inc("c", seed)
-        reg.record_value("h", seed)
-        return reg
-
-    left = MetricsRegistry()
-    for reg in (worker(1), worker(2), worker(3)):
-        left.merge(reg)
-    mid = worker(2)
-    mid.merge(worker(3))
-    right = worker(1)
-    right.merge(mid)
-    assert left.snapshot() == right.snapshot()
-
+# -- percentile edge cases ----------------------------------------------------
 
 def test_percentile_clamps_out_of_range_quantiles():
     data = [1.0, 2.0, 3.0]

@@ -1,5 +1,5 @@
 """Sampling profiler: data model, backends, phase attribution, and the
-pipeline-level contracts (no-report-drift, serial/parallel merge)."""
+pipeline-level contracts (no report drift, self-time within spans)."""
 
 import time
 
@@ -9,8 +9,7 @@ from repro.bench.securibench import CASES
 from repro.core import TAJ, TAJConfig
 from repro.obs import Observability
 from repro.obs.profile import (DEFAULT_PHASE, HOT_LOOPS, ProfileData,
-                               SamplingProfiler, profile_shard,
-                               write_collapsed)
+                               SamplingProfiler, write_collapsed)
 from repro.obs.tracer import Tracer
 from repro.reporting import render_text
 
@@ -37,18 +36,6 @@ def test_profile_data_accumulates_and_reads():
     # Leaf attribution: slice_rule is the on-CPU frame for 3 samples.
     assert data.function_self_seconds()["hybrid.slice_rule"] == 0.03
     assert data.hot_loop_seconds() == {"taint.slice_rule": 0.03}
-
-
-def test_profile_data_merge_rescales_to_conserve_seconds():
-    coarse = ProfileData(interval=0.01)
-    coarse.add("taint", ("f",), count=10)          # 0.1 s
-    fine = ProfileData(interval=0.005)
-    fine.add("taint", ("f",), count=20)            # 0.1 s
-    coarse.merge(fine)
-    assert coarse.phase_self_seconds()["taint"] == pytest.approx(0.2)
-    # Merging an empty donor is a no-op.
-    coarse.merge(ProfileData(interval=0.001))
-    assert coarse.phase_self_seconds()["taint"] == pytest.approx(0.2)
 
 
 def test_collapsed_lines_format_and_write(tmp_path):
@@ -117,30 +104,11 @@ def test_profiler_phase_attribution_follows_tracer_spans():
     assert phases.get("taint", 0.0) > 0.0
 
 
-def test_profiler_pause_suppresses_samples():
-    profiler = SamplingProfiler(interval=0.002, backend="signal")
-    profiler.start()
-    try:
-        profiler.pause()
-        _burn_cpu(0.05)
-        paused_samples = profiler.data.samples
-        profiler.resume()
-        _burn_cpu(0.05)
-    finally:
-        profiler.stop()
-    assert paused_samples == 0
-    assert profiler.data.samples > 0
-
-
-def test_profiler_context_manager_and_absorb():
+def test_profiler_context_manager():
     with SamplingProfiler(interval=0.002, backend="thread") as profiler:
+        assert profiler.running
         time.sleep(0.02)
-    donor = ProfileData(interval=0.002)
-    donor.add("taint", ("f",), count=4)
-    profiler.absorb(donor)
-    profiler.absorb(None)   # worker without profiling ships None
-    assert profiler.data.phase_self_seconds()["taint"] == \
-        pytest.approx(0.008)
+    assert not profiler.running
 
 
 def test_profiler_rejects_bad_arguments():
@@ -148,17 +116,6 @@ def test_profiler_rejects_bad_arguments():
         SamplingProfiler(interval=0.0)
     with pytest.raises(ValueError):
         SamplingProfiler(backend="perf")
-
-
-def test_profile_shard_helper():
-    assert profile_shard(None) is None
-    profiler = profile_shard(0.002)
-    try:
-        assert profiler.running
-        assert profiler.fixed_phase == "taint"
-        assert profiler.tracer is None
-    finally:
-        profiler.stop()
 
 
 # -- pipeline contracts -------------------------------------------------------
@@ -202,14 +159,10 @@ def test_config_profile_knob_installs_profiler_on_enabled_bundle():
     assert result.profile is None
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_phase_self_time_stays_within_span_durations(jobs):
-    """Acceptance: phase self-time totals (serial and merged parallel)
-    stay within the span-reported phase durations, up to sampling
-    granularity."""
+def test_phase_self_time_stays_within_span_durations():
+    """Acceptance: phase self-time totals stay within the span-reported
+    phase durations, up to sampling granularity."""
     config = TAJConfig.hybrid_optimized().with_profile(interval=0.001)
-    if jobs > 1:
-        config = config.with_jobs(jobs)
     obs = Observability()
     result = TAJ(config, obs=obs).analyze_sources(_corpus(10))
     assert result.profile is not None
@@ -222,23 +175,10 @@ def test_phase_self_time_stays_within_span_durations(jobs):
         "confirm": result.times.confirm,
     }
     # Sampling granularity slack: a few intervals per phase (signal
-    # backend samples CPU time, which never exceeds wall; on a 1-core
-    # host merged worker CPU is bounded by the taint wall too).
+    # backend samples CPU time, which never exceeds wall).
     slack = 0.001 * 10
     for phase, seconds in result.profile["phase_self_seconds"].items():
         assert phase in spans, f"unknown profiled phase {phase!r}"
         assert seconds <= spans[phase] + slack, \
             f"{phase}: self-time {seconds} exceeds span {spans[phase]}"
 
-
-def test_parallel_run_merges_worker_shard_profiles():
-    """jobs=2 must still produce one whole-pipeline profile whose taint
-    samples come from the pool workers (the parent pauses)."""
-    config = TAJConfig.hybrid_optimized() \
-        .with_profile(interval=0.001).with_jobs(2)
-    obs = Observability()
-    result = TAJ(config, obs=obs).analyze_sources(_corpus(10))
-    lines = obs.profiler.data.collapsed_lines()
-    assert any(line.startswith("taint;") for line in lines), \
-        "no worker-shipped taint samples in the merged profile"
-    assert result.profile["samples"] == obs.profiler.data.samples

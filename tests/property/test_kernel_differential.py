@@ -1,5 +1,6 @@
-"""Corpus differential: the bitset kernel and the parallel sweep against
-their reference implementations, over the micro + securibench corpora.
+"""Corpus differential: the bitset kernel against the preserved seed
+solver, and the rule sweep against isolated per-rule runs, over the
+micro + securibench corpora.
 
 Three contracts, each on every corpus program:
 
@@ -11,10 +12,11 @@ Three contracts, each on every corpus program:
   graph, hybrid slicing) run over either solver finds the identical
   per-rule flow sets, so the representation change never reaches a
   report;
-* **jobs and shard invariance** — the persistent-pool sweep
-  (``jobs=4``) returns exactly the serial sweep's flows in the same
-  canonical order, at the default shard plan and at a deliberately
-  skewed chunk size (one seed chunk per rule).
+* **rule isolation** — the sweep reuses one slicer and one carrier
+  cache for every rule, yet each strategy (hybrid, CI, CS) finds
+  exactly the flows, in the same canonical order and with the same
+  length / heap-transition metadata, that each rule finds when swept
+  alone on freshly built pieces: no rule sees another rule's state.
 
 The hypothesis-driven random-program differential lives in
 ``test_differential.py``; this file pins the fixed corpora the
@@ -32,7 +34,7 @@ from repro.pointer import (ChaoticOrder, ContextPolicy, PointerAnalysis,
 from repro.pointer.heapgraph import HeapGraph
 from repro.sdg.hsdg import DirectEdges
 from repro.sdg.noheap import NoHeapSDG
-from repro.taint import TaintEngine, default_rules
+from repro.taint import RuleSet, TaintEngine, canonical_flows, default_rules
 
 
 def corpus():
@@ -61,11 +63,10 @@ def canonical_solution(analysis):
             for key, pts in analysis.iter_pts() if pts}
 
 
-def flows_by_rule(analysis, prepared, jobs=1):
+def flows_by_rule(analysis, prepared):
     sdg = NoHeapSDG(prepared.program, analysis.call_graph)
     engine = TaintEngine(sdg, DirectEdges(sdg, analysis),
-                         HeapGraph(analysis), default_rules(), Budget(),
-                         jobs=jobs)
+                         HeapGraph(analysis), default_rules(), Budget())
     result = engine.run()
     out = {}
     for flow in result.flows:
@@ -85,19 +86,27 @@ def test_bitset_kernel_and_flows_match_seed(name, source):
         flows_by_rule(seed, prepared), name
 
 
+
+def sweep(analysis, prepared, rules, strategy):
+    sdg = NoHeapSDG(prepared.program, analysis.call_graph)
+    engine = TaintEngine(sdg, DirectEdges(sdg, analysis),
+                         HeapGraph(analysis), rules, Budget(),
+                         strategy=strategy)
+    return engine.run()
+
+
+@pytest.mark.parametrize("strategy", ["hybrid", "ci", "cs"])
 @pytest.mark.parametrize("name,source", CORPUS, ids=CORPUS_IDS)
-def test_parallel_sweep_is_jobs_invariant(name, source):
+def test_sweep_matches_isolated_rule_runs(name, source, strategy):
     prepared = prepare([source])
     analysis = solve_with(PointerAnalysis, prepared)
-    sdg = NoHeapSDG(prepared.program, analysis.call_graph)
-    direct = DirectEdges(sdg, analysis)
-    heap = HeapGraph(analysis)
-    serial = TaintEngine(sdg, direct, heap, default_rules(),
-                         Budget()).run()
-    for shards_per_rule in (None, 1):
-        parallel = TaintEngine(sdg, direct, heap, default_rules(),
-                               Budget(), jobs=4,
-                               shards_per_rule=shards_per_rule).run()
-        assert [f.sort_key() for f in parallel.flows] == \
-            [f.sort_key() for f in serial.flows], (name, shards_per_rule)
-        assert parallel.completed_rules == serial.completed_rules, name
+    rules = default_rules()
+    whole = sweep(analysis, prepared, rules, strategy)
+    assert whole.completed_rules == [rule.name for rule in rules], name
+    isolated = []
+    for rule in rules:
+        alone = sweep(analysis, prepared, RuleSet([rule]), strategy)
+        assert alone.completed_rules == [rule.name], (name, rule.name)
+        isolated.extend(alone.flows)
+    assert [f.sort_key() for f in canonical_flows(isolated)] == \
+        [f.sort_key() for f in whole.flows], (name, strategy)

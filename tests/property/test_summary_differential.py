@@ -9,8 +9,8 @@ also exercises cross-program key isolation: a hit may only come from
 an identical (method IR, callee environment, rule) — never from a
 similarly named method of another program.
 
-The jobs/shard invariance analogue for the slicing strategies lives in
-``test_parallel_differential.py``; this file pins the third engine.
+The kernel differential for the other strategies' pipeline lives in
+``test_kernel_differential.py``; this file pins the third engine.
 """
 
 import pytest

@@ -1,8 +1,8 @@
 """CLI behaviour on broken inputs: structured diagnostics, no tracebacks.
 
 The corpus covers all three frontend failure stages — lexing, parsing,
-and lowering — plus the ``--keep-going`` / ``--deadline`` resilience
-flags and the 0/1/2 exit-code contract.
+and lowering — plus unreadable input files, the ``--keep-going`` /
+``--deadline`` resilience flags and the 0/1/2 exit-code contract.
 """
 
 import json
@@ -61,6 +61,40 @@ def test_keep_going_quarantines_and_analyzes_the_rest(stage, tmp_path,
     assert "Traceback" not in captured.err + captured.out
 
 
+# Unreadable inputs: each is a usage error (exit 2, one stderr line),
+# never a traceback or the "issues found" exit code 1.
+UNREADABLE = {
+    "missing-source": lambda tmp, good: [str(tmp / "absent.jlang")],
+    "non-utf8-source": lambda tmp, good: [
+        write_bytes(tmp, "latin1.jlang",
+                    GOOD.replace("p", "\u00e9").encode("latin-1"))],
+    "missing-descriptor": lambda tmp, good: [
+        "--descriptor", str(tmp / "absent.json"), good],
+    "non-json-descriptor": lambda tmp, good: [
+        "--descriptor", write(tmp, "ejb.json", "{not json"), good],
+    "non-object-descriptor": lambda tmp, good: [
+        "--descriptor", write(tmp, "ejb.json", "[1, 2]"), good],
+}
+
+
+def write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_input_exits_two(case, tmp_path, capsys):
+    good = write(tmp_path, "good.jlang", GOOD)
+    code = main(UNREADABLE[case](tmp_path, good))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("unreadable input: ")
+    assert captured.err.count("\n") == 1, "one stderr line"
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 def test_keep_going_json_payload_carries_resilience_record(tmp_path,
                                                            capsys):
     broken = write(tmp_path, "broken.jlang", CORPUS["parse"])
@@ -115,7 +149,7 @@ def test_fault_plan_missing_file_exits_two(tmp_path, capsys):
 def test_fault_plan_unknown_action_exits_two(tmp_path, capsys):
     good = write(tmp_path, "good.jlang", GOOD)
     plan = write(tmp_path, "plan.json",
-                 json.dumps([{"seam": "worker.shard",
+                 json.dumps([{"seam": "pointer.solve",
                               "action": "explode"}]))
     code = main(["--fault-plan", plan, good])
     captured = capsys.readouterr()
@@ -123,21 +157,16 @@ def test_fault_plan_unknown_action_exits_two(tmp_path, capsys):
     assert "invalid fault plan" in captured.err
 
 
-def test_fault_plan_crash_recovery_keeps_report_exit_code(tmp_path,
-                                                          capsys):
-    """A recovered worker crash reports exactly like the clean run:
-    exit 1 (issues found), identical stdout, no traceback."""
+def test_fault_plan_unknown_seam_exits_two(tmp_path, capsys):
+    """A misspelled seam would never fire and the run would pass as
+    ``complete``; the plan is rejected instead."""
     good = write(tmp_path, "good.jlang", GOOD)
-    two = write(tmp_path, "two.jlang",
-                GOOD.replace("class S", "class T"))
-    clean_code = main([good, two])
-    clean_out = capsys.readouterr().out
     plan = write(tmp_path, "plan.json",
-                 json.dumps([{"seam": "worker.shard", "at": 0,
-                              "action": "kill-worker",
-                              "attempts": 1}]))
-    code = main(["--jobs", "2", "--fault-plan", plan, good, two])
+                 json.dumps([{"seam": "pointer.slove",
+                              "action": "raise"}]))
+    code = main(["--fault-plan", plan, good])
     captured = capsys.readouterr()
-    assert clean_code == 1 and code == 1
-    assert captured.out == clean_out
-    assert "Traceback" not in captured.err + captured.out
+    assert code == 2
+    assert "invalid fault plan" in captured.err
+    assert "pointer.slove" in captured.err
+

@@ -15,6 +15,25 @@ def test_fault_validation():
         Fault("pointer.solve", exception="oom")
 
 
+@pytest.mark.parametrize("seam", ["pointer.slove", "worker.shard",
+                                  "worker.init", ""])
+def test_unknown_seam_is_rejected(seam):
+    """A plan naming a seam the pipeline never checks would never fire
+    and the run would report ``complete``: reject it up front."""
+    with pytest.raises(ValueError, match="unknown fault seam"):
+        FaultPlan.from_dicts([{"seam": seam, "action": "raise"}])
+
+
+@pytest.mark.parametrize("action",
+                         ["kill-worker", "hang-worker", "corrupt-outcome"])
+def test_worker_actions_are_rejected(action):
+    """The sweep runs in-process: a plan scripting a worker-process
+    fault is invalid rather than a fault that can never fire."""
+    with pytest.raises(ValueError, match="unknown fault action"):
+        FaultPlan.from_dicts([{"seam": "slicing.hybrid",
+                               "action": action}])
+
+
 def test_plan_round_trips_through_dicts():
     plan = FaultPlan.of(
         Fault("tabulation.step", at=3, exception="budget"),
@@ -46,13 +65,14 @@ def test_injector_ticks_are_per_seam():
 
 
 def test_exception_kinds():
-    assert isinstance(Fault("x", exception="budget").build_exception(),
+    seam = "pointer.solve"
+    assert isinstance(Fault(seam, exception="budget").build_exception(),
                       BudgetExhausted)
-    assert isinstance(Fault("x", exception="deadline").build_exception(),
+    assert isinstance(Fault(seam, exception="deadline").build_exception(),
                       DeadlineExceeded)
-    assert isinstance(Fault("x", exception="source").build_exception(),
+    assert isinstance(Fault(seam, exception="source").build_exception(),
                       SourceError)
-    assert isinstance(Fault("x").build_exception(), InjectedFault)
+    assert isinstance(Fault(seam).build_exception(), InjectedFault)
 
 
 def test_corrupt_replaces_payload():
@@ -81,61 +101,3 @@ def test_same_plan_replays_identically():
         with pytest.raises(InjectedFault):
             injector.visit("ci.step")
 
-
-# -- process-seam faults (worker.*, docs/robustness.md) -----------------------
-
-def test_process_fault_validation():
-    """Process actions pair only with process seams, and vice versa."""
-    with pytest.raises(ValueError):
-        Fault("pointer.solve", action="kill-worker")
-    with pytest.raises(ValueError):
-        Fault("worker.shard", action="raise")
-    assert Fault("worker.shard", action="kill-worker").is_process()
-    assert Fault("worker.init", action="hang-worker").is_process()
-    assert not Fault("pointer.solve").is_process()
-
-
-def test_process_fault_attempts_round_trip():
-    plan = FaultPlan.of(Fault("worker.shard", at=0,
-                              action="corrupt-outcome", attempts=-1))
-    clone = FaultPlan.from_dicts(plan.to_dicts())
-    assert clone.faults[0].attempts == -1
-    assert clone.to_dicts() == plan.to_dicts()
-
-
-def test_matches_attempt_is_positional_and_bounded():
-    """Matching is by shard position and attempt count — never by
-    visit order — so it replays identically under any worker
-    scheduling."""
-    bounded = Fault("worker.shard", at=2, action="kill-worker",
-                    attempts=2)
-    assert bounded.matches_attempt(2, 0)
-    assert bounded.matches_attempt(2, 1)
-    assert not bounded.matches_attempt(2, 2), "retry budget respected"
-    assert not bounded.matches_attempt(1, 0), "wrong shard"
-    everywhere = Fault("worker.shard", at=-1, action="kill-worker",
-                       attempts=-1)
-    assert everywhere.matches_attempt(0, 0)
-    assert everywhere.matches_attempt(7, 99)
-
-
-def test_injector_process_fault_lookup_records_fired():
-    plan = FaultPlan.of(Fault("worker.shard", at=1,
-                              action="kill-worker", attempts=1))
-    injector = FaultInjector(plan)
-    assert injector.process_fault("worker.shard", 0, 0) is None
-    fault = injector.process_fault("worker.shard", 1, 0)
-    assert fault is not None and fault.action == "kill-worker"
-    assert injector.process_fault("worker.shard", 1, 1) is None
-    assert len(injector.fired) == 1, "only matches are recorded"
-
-
-def test_visit_never_fires_process_faults():
-    """The cooperative seam walker skips process faults entirely —
-    a worker.shard fault must never raise inside the parent's
-    pipeline."""
-    plan = FaultPlan.of(Fault("worker.shard", at=-1,
-                              action="kill-worker", attempts=-1))
-    injector = FaultInjector(plan)
-    for _ in range(3):
-        injector.visit("worker.shard")  # no InjectedFault, no SIGKILL

@@ -1,6 +1,7 @@
 """RHS tabulation tests: context-sensitive reachability over the VFG."""
 
 from repro.sdg import RuleAdapter, Tabulator
+from repro.sdg.tabulation import Meta
 from repro.taint.rules import SecurityRule
 from tests.sdg.test_noheap import build
 
@@ -217,3 +218,11 @@ class Main {
   }
 }""", seeds=[("Main.main/0", "v.1")])
     assert len(sink_hits(hits)) == 1
+
+
+def test_meta_extend_preserves_transitions():
+    meta = Meta(3, None, 2)
+    longer = meta.extend(4)
+    assert longer.steps == 7
+    assert longer.transitions == 2
+    assert Meta(1).transitions == 0

@@ -1,7 +1,6 @@
 """Summary-cache robustness: a cache must never change *what* is
 computed, only *whether* it is recomputed.  Foreign, corrupt, or
-truncated state always degrades to a clean cold start (mirroring the
-checkpoint-journal contract in ``tests/parallel/test_checkpoint.py``)."""
+truncated state always degrades to a clean cold start."""
 
 import json
 import os

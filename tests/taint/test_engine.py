@@ -115,63 +115,17 @@ def test_budget_abort_preserves_completed_rule_flows(pieces):
     assert result.flows, "completed-rule flows must be preserved"
 
 
-# -- parallel sweep (--jobs) -------------------------------------------------
-
-def test_parallel_matches_serial(pieces):
-    sdg, direct, heap = pieces
-    serial = TaintEngine(sdg, direct, heap, default_rules(),
-                         Budget()).run()
-    parallel = TaintEngine(sdg, direct, heap, default_rules(), Budget(),
-                           jobs=4).run()
-    # Canonical flow order: the merged result is exactly the serial one.
-    assert [f.sort_key() for f in parallel.flows] == \
-        [f.sort_key() for f in serial.flows]
-    assert parallel.completed_rules == serial.completed_rules
-    assert parallel.final_strategy == serial.final_strategy
-    assert parallel.failed == serial.failed
-    assert parallel.truncated == serial.truncated
-
-
-def test_parallel_merges_worker_observability(pieces):
+def test_sweep_times_and_traces_each_rule_once(pieces):
     from repro.obs import Observability
     sdg, direct, heap = pieces
     obs = Observability()
-    engine = TaintEngine(sdg, direct, heap, default_rules(), Budget(),
-                         obs=obs, jobs=2)
-    result = engine.run()
+    result = TaintEngine(sdg, direct, heap, default_rules(), Budget(),
+                         obs=obs).run()
     assert result.flows
     rule_count = len(list(default_rules()))
-    assert obs.metrics.gauge_value("taint.parallel_jobs") == 2
-    # One worker timing per rule, replayed into the parent registry…
     assert obs.metrics.timer_summary(
         "taint.rule_seconds")["count"] == rule_count
-    # …and one pre-timed taint.rule span per rule in the parent trace.
     spans = obs.tracer.find("taint.rule")
-    assert len(spans) == rule_count
-    assert all(s.attrs.get("parallel") for s in spans)
     assert {s.attrs["rule"] for s in spans} == \
         {r.name for r in default_rules()}
-
-
-def test_parallel_hard_failure_mimics_serial(pieces):
-    sdg, direct, heap = pieces
-    serial = TaintEngine(sdg, direct, heap, default_rules(),
-                         Budget(max_state_units=1), strategy="cs").run()
-    parallel = TaintEngine(sdg, direct, heap, default_rules(),
-                           Budget(max_state_units=1), strategy="cs",
-                           jobs=2).run()
-    assert serial.failed and parallel.failed
-    assert parallel.flows == serial.flows == []
-    assert parallel.failure == serial.failure
-
-
-def test_jobs_one_takes_serial_path(pieces):
-    from repro.obs import Observability
-    sdg, direct, heap = pieces
-    obs = Observability()
-    engine = TaintEngine(sdg, direct, heap, default_rules(), Budget(),
-                         obs=obs, jobs=1)
-    result = engine.run()
-    assert result.flows
-    # The serial path never records the parallel gauge.
-    assert obs.metrics.gauge_value("taint.parallel_jobs") is None
+    assert len(spans) == rule_count
