@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from .core import TAJ, TAJConfig
@@ -61,13 +62,15 @@ def build_parser() -> argparse.ArgumentParser:
                                                "summary"),
                         help="override the slicing strategy of the "
                              "chosen --config (e.g. run the optimized "
-                             "preset on the summary engine)")
+                             "preset on the summary engine); the run is "
+                             "then named <preset>+<strategy>")
     parser.add_argument("--summary-cache", metavar="DIR",
                         help="persistent per-method summary cache for "
                              "the summary strategy: cold runs populate "
                              "DIR, warm runs on the same or overlapping "
                              "apps reuse it (implies --strategy "
-                             "summary; foreign/corrupt caches are "
+                             "summary, and no other --strategy may be "
+                             "given; foreign/corrupt caches are "
                              "detected and rebuilt, "
                              "docs/performance.md)")
     parser.add_argument("--rules", choices=("default", "extended"),
@@ -218,6 +221,10 @@ def _load_descriptor(path: Optional[str]) -> Optional[Dict[str, str]]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.summary_cache and args.strategy not in (None, "summary"):
+        print(f"--summary-cache runs the summary strategy; it cannot be "
+              f"combined with --strategy {args.strategy}", file=sys.stderr)
+        return 2
     try:
         sources = [_read_text(path) for path in args.files]
         descriptor = _load_descriptor(args.descriptor)
@@ -227,11 +234,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     config = CONFIG_FACTORIES[args.config]()
+    preset_slicing = config.slicing
     if args.summary_cache:
         config = config.with_summary_cache(args.summary_cache)
-    elif args.strategy is not None and args.strategy != config.slicing:
-        from dataclasses import replace
+    elif args.strategy is not None:
         config = replace(config, slicing=args.strategy)
+    if config.slicing != preset_slicing:
+        # Name the engine that ran, not only the preset it came from:
+        # the report title, JSON "config" and ledger all carry it.
+        config = replace(config, name=f"{config.name}+{config.slicing}")
     overrides = {}
     if args.max_cg_nodes is not None:
         overrides["max_cg_nodes"] = args.max_cg_nodes

@@ -50,6 +50,7 @@ from typing import (Callable, Deque, Dict, List, Optional, Set, Tuple,
                     TYPE_CHECKING)
 
 from ..bounds import StateMeter
+from ..ir import StringOp
 from .nodes import Fact, RET, Stmt, StmtRef
 
 if TYPE_CHECKING:  # pragma: no cover — avoids a package import cycle
@@ -158,7 +159,6 @@ class RuleAdapter:
         return result
 
     def is_sanitizer_strop(self, stmt: Stmt) -> bool:
-        from ..ir import StringOp
         return isinstance(stmt.instr, StringOp) and \
             stmt.instr.method in self.rule.sanitizers
 

@@ -119,6 +119,9 @@ class Slicer:
         # construction, so reuse across ladder retries is safe and
         # saves the scan's cost per slice_rule call.
         self._carrier_cache = carrier_cache
+        # Counters the last slice_rule reports on its ``taint.rule``
+        # span (CI: facts compiled, BFS visits summed over seeds).
+        self.rule_attrs: Dict[str, int] = {}
 
     def slice_rule(self, rule: SecurityRule) -> List[TaintFlow]:
         """Slice one rule from every seed :func:`enumerate_sources`

@@ -223,7 +223,7 @@ class TaintEngine:
                 with tracer.span("taint.rule", rule=rule.name,
                                  strategy=strategy) as span:
                     flows = slicer.slice_rule(rule)
-                    span.set(flows=len(flows))
+                    span.set(flows=len(flows), **slicer.rule_attrs)
             except (BudgetExhausted, DeadlineExceeded) as exc:
                 result.truncated = result.truncated or slicer.truncated
                 result.suppressed_by_length += slicer.suppressed_by_length

@@ -196,3 +196,58 @@ def test_removed_sweep_flags_are_rejected(flag, app_file, capsys):
         main([flag, "2", app_file])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", ["hybrid", "cs", "ci"])
+def test_summary_cache_rejects_another_strategy(strategy, app_file,
+                                                tmp_path, capsys):
+    """--summary-cache runs the summary engine, so pairing it with any
+    other --strategy is a usage error, not a silently ignored flag."""
+    cache = tmp_path / "cache"
+    code = main(["--strategy", strategy, "--summary-cache", str(cache),
+                 app_file])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"--strategy {strategy}" in captured.err
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["--strategy", "ci"], "hybrid-optimized+ci"),
+    (["--config", "unbounded", "--strategy", "cs"], "hybrid-unbounded+cs"),
+    (["--summary-cache", "{cache}"], "hybrid-optimized+summary"),
+    (["--strategy", "summary", "--summary-cache", "{cache}"],
+     "hybrid-optimized+summary"),
+    (["--strategy", "hybrid"], "hybrid-optimized"),
+    (["--config", "summary", "--summary-cache", "{cache}"], "summary"),
+    (["--config", "ci", "--strategy", "ci"], "ci"),
+], ids=["strategy", "other-preset", "cache", "cache-and-strategy",
+        "same-strategy", "summary-preset", "ci-preset"])
+def test_run_is_named_after_the_engine_that_ran(argv, name, app_file,
+                                               tmp_path, capsys):
+    """A strategy override changes the run's name everywhere it is
+    printed or recorded: text title, JSON "config" and the ledger."""
+    argv = [arg.format(cache=tmp_path / "cache") for arg in argv]
+    ledger = tmp_path / "ledger.jsonl"
+    assert main(argv + ["--ledger", str(ledger), app_file]) == 1
+    assert f"TAJ report ({name})" in capsys.readouterr().out
+    assert main(argv + ["--json", app_file]) == 1
+    assert json.loads(capsys.readouterr().out)["config"] == name
+    (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert record["config"]["name"] == name
+
+
+def test_strategy_override_runs_that_engine(tmp_path, capsys):
+    """On the Figure-1 program CI's context conflation reports more
+    issues than hybrid: the override really switches the slicer."""
+    from repro.bench.micro import MOTIVATING
+    path = tmp_path / "motivating.jlang"
+    path.write_text(MOTIVATING)
+    counts = {}
+    for argv in ([], ["--strategy", "ci"]):
+        main(argv + ["--config", "unbounded", "--json", str(path)])
+        counts[tuple(argv)] = len(json.loads(
+            capsys.readouterr().out)["issues"])
+    assert counts[("--strategy", "ci")] > counts[()]
