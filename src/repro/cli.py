@@ -219,8 +219,31 @@ def _load_descriptor(path: Optional[str]) -> Optional[Dict[str, str]]:
     return {str(k): str(v) for k, v in data.items()}
 
 
+def _range_error(args: argparse.Namespace) -> Optional[str]:
+    """A one-line message for a number out of range, else ``None``.
+
+    Zero is a valid bound (``--deadline 0`` expires at once,
+    ``--flow-length 0`` reports nothing); a negative one is a typo that
+    would otherwise pass for a clean or degraded result.
+    """
+    for flag in ("max_cg_nodes", "flow_length", "confirm_fuel",
+                 "deadline"):
+        value = getattr(args, flag)
+        if value is not None and not value >= 0:
+            return f"--{flag.replace('_', '-')} must be 0 or more, " \
+                   f"got {value}"
+    if not args.profile_interval > 0:
+        return f"--profile-interval must be positive, " \
+               f"got {args.profile_interval}"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    error = _range_error(args)
+    if error:
+        print(error, file=sys.stderr)
+        return 2
     if args.summary_cache and args.strategy not in (None, "summary"):
         print(f"--summary-cache runs the summary strategy; it cannot be "
               f"combined with --strategy {args.strategy}", file=sys.stderr)

@@ -28,7 +28,6 @@ LABEL_KINDS = {
     "RESPONSE_SPLITTING": {"src"},
     "INFO_LEAK": {"exc", "sys"},
 }
-_LABEL_KINDS = LABEL_KINDS  # backwards-compatible alias
 
 
 @dataclass(frozen=True)
@@ -117,21 +116,12 @@ class DynamicSummary:
             rule = rules.by_name(rule_name)
         except KeyError:
             return False
-        kinds = _LABEL_KINDS.get(rule_name, {"src"})
-        for witness in self.witnesses:
-            if witness.sink_method != sink_method:
-                continue
-            if witness.display not in rule.sinks:
-                continue
-            for label in witness.labels:
-                base, *sanitizers = label.split("|")
-                if base.split(":", 1)[0] not in kinds:
-                    continue
-                applied = {part[len("san="):] for part in sanitizers
-                           if part.startswith("san=")}
-                if not (applied & rule.sanitizers):
-                    return True
-        return False
+        sanitizers = frozenset(rule.sanitizers)
+        return any(parse_label(label).witnesses(rule_name, sanitizers)
+                   for witness in self.witnesses
+                   if witness.sink_method == sink_method
+                   and witness.display in rule.sinks
+                   for label in witness.labels)
 
 
 def run_dynamic(sources: List[str],

@@ -128,7 +128,7 @@ class Method:
             elif isinstance(term, (Return, Throw)):
                 block.succs = []
         # Prune blocks unreachable from the entry (produced by lowering
-        # after break/continue/return) so dominance and SSA stay simple.
+        # after break/continue/return) so SSA meets only reachable code.
         reachable = {self.entry_block}
         stack = [self.entry_block]
         while stack:

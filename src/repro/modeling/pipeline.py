@@ -48,12 +48,6 @@ class ModelOptions:
     ejb: bool = True
     whitelist: bool = True
 
-    @staticmethod
-    def none() -> "ModelOptions":
-        return ModelOptions(frameworks=True, exceptions=False,
-                            strings=False, reflection=False,
-                            collections=False, ejb=False, whitelist=False)
-
 
 @dataclass
 class PreparedProgram:

@@ -163,6 +163,12 @@ class RuleAdapter:
             stmt.instr.method in self.rule.sanitizers
 
 
+def is_thread_edge(site: CallSite, target: str) -> bool:
+    """A ``Thread.start`` call edge into a ``run`` method: the edge CS
+    skips, and the source of its unsoundness for threads."""
+    return site.call.method_name == "start" and target.endswith(".run/0")
+
+
 class Tabulator:
     """The region-based RHS engine."""
 
@@ -353,7 +359,7 @@ class Tabulator:
             return
         descended = False
         for target in site.targets:
-            if self.skip_thread_edges and self._is_thread_edge(site, target):
+            if self.skip_thread_edges and is_thread_edge(site, target):
                 continue
             for actual, formal in self.sdg.bindings(site, target):
                 if actual != var:
@@ -365,10 +371,6 @@ class Tabulator:
             # Conservative default for unmodeled natives: args flow to
             # the return value.
             self._add_fact(region, site.call.lhs, meta.extend())
-
-    def _is_thread_edge(self, site: CallSite, target: str) -> bool:
-        return site.call.method_name == "start" and \
-            target.endswith(".run/0")
 
     def _descend(self, region: RegionKey, meta: Meta, site: CallSite,
                  target: str, formal: str) -> None:

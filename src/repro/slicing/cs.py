@@ -37,7 +37,8 @@ from ..callgraph.graph import CallGraph
 from ..ir import Program
 from ..sdg.nodes import Fact, Stmt, StmtRef
 from ..sdg.noheap import ANY_FIELD, CallSite, LocalEdge, NoHeapSDG
-from ..sdg.tabulation import Hit, Meta, RuleAdapter, Tabulator
+from ..sdg.tabulation import (Hit, Meta, RuleAdapter, Tabulator,
+                              is_thread_edge)
 from ..taint.flows import TaintFlow
 from ..taint.rules import SecurityRule
 from .base import FlowCollector, Slicer, enumerate_sources
@@ -121,17 +122,12 @@ class CSExtendedSDG(NoHeapSDG):
                 acc = self.modref[qname]
                 for site in self.call_sites.get(qname, []):
                     for target in site.targets:
-                        if self._is_thread_edge(site, target):
+                        if is_thread_edge(site, target):
                             continue
                         extra = self.modref.get(target)
                         if extra and not extra <= acc:
                             acc |= extra
                             changed = True
-
-    @staticmethod
-    def _is_thread_edge(site: CallSite, target: str) -> bool:
-        return site.call.method_name == "start" and \
-            target.endswith(".run/0")
 
     # -- overrides ------------------------------------------------------------
 
@@ -149,14 +145,14 @@ class CSExtendedSDG(NoHeapSDG):
         out: List[Tuple[CallSite, List[int]]] = []
         for site in self.call_sites.get(method, []):
             if any(var in self.modref.get(t, ()) for t in site.targets
-                   if not self._is_thread_edge(site, t)):
+                   if not is_thread_edge(site, t)):
                 out.append((site, [-2]))
         return out
 
     def bindings(self, site: CallSite,
                  target: str) -> List[Tuple[str, str]]:
         pairs = super().bindings(site, target)
-        if not self.channels_enabled or self._is_thread_edge(site, target):
+        if not self.channels_enabled or is_thread_edge(site, target):
             return pairs
         for ch in sorted(self.modref.get(target, ())):
             pairs.append((ch, ch))

@@ -34,10 +34,9 @@ class HybridSlicer(Slicer):
     name = "hybrid"
 
     def __init__(self, *args, meter: Optional[StateMeter] = None,
-                 skip_thread_edges: bool = False, **kwargs) -> None:
+                 **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.meter = meter
-        self.skip_thread_edges = skip_thread_edges
         self.heap_transitions = 0
 
     # -- per-rule state (reset in slice_rule) --------------------------------
@@ -77,7 +76,6 @@ class HybridSlicer(Slicer):
         substitutes a cache-sealing tabulator here; everything else in
         the traversal is shared."""
         return Tabulator(self.sdg, adapter, on_hit, meter=self.meter,
-                         skip_thread_edges=self.skip_thread_edges,
                          resilience=self.resilience)
 
     # -- heap expansion ----------------------------------------------------------

@@ -1,11 +1,10 @@
 """SSA construction and SSA-based analyses for jlang IR."""
 
-from .cfg import reverse_postorder, rpo_numbering
+from .cfg import reverse_postorder
 from .constprop import BOTTOM, ConstantValues, TOP
 from .construct import SSAInfo, program_to_ssa, to_ssa
-from .dominance import DominatorTree
 
 __all__ = [
-    "BOTTOM", "ConstantValues", "DominatorTree", "SSAInfo", "TOP",
-    "program_to_ssa", "reverse_postorder", "rpo_numbering", "to_ssa",
+    "BOTTOM", "ConstantValues", "SSAInfo", "TOP",
+    "program_to_ssa", "reverse_postorder", "to_ssa",
 ]

@@ -2,38 +2,28 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..ir import Method
 
 
 def reverse_postorder(method: Method) -> List[int]:
     """Block ids in reverse postorder from the entry block."""
-    visited = set()
+    blocks = method.blocks
+    entry = method.entry_block
+    visited = {entry}
     order: List[int] = []
-
-    def visit(bid: int) -> None:
-        # Iterative DFS to keep deep CFGs off the Python stack.
-        stack = [(bid, iter(method.blocks[bid].succs))]
-        visited.add(bid)
-        while stack:
-            cur, it = stack[-1]
-            advanced = False
-            for succ in it:
-                if succ not in visited:
-                    visited.add(succ)
-                    stack.append((succ, iter(method.blocks[succ].succs)))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(cur)
-                stack.pop()
-
-    visit(method.entry_block)
+    # Iterative DFS to keep deep CFGs off the Python stack.
+    stack = [(entry, iter(blocks[entry].succs))]
+    while stack:
+        cur, succs = stack[-1]
+        for succ in succs:
+            if succ not in visited:
+                visited.add(succ)
+                stack.append((succ, iter(blocks[succ].succs)))
+                break
+        else:
+            order.append(cur)
+            stack.pop()
     order.reverse()
     return order
-
-
-def rpo_numbering(method: Method) -> Dict[int, int]:
-    """Map block id -> its reverse-postorder index."""
-    return {bid: idx for idx, bid in enumerate(reverse_postorder(method))}

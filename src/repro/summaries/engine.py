@@ -195,7 +195,6 @@ class SummarySlicer(HybridSlicer):
             provider = self.backend.provider_for(self.sdg, adapter.rule)
         self._tab = SummaryTabulator(
             self.sdg, adapter, on_hit, meter=self.meter,
-            skip_thread_edges=self.skip_thread_edges,
             resilience=self.resilience, provider=provider)
         return self._tab
 
@@ -212,16 +211,14 @@ class SummarySlicer(HybridSlicer):
 # -- the backend --------------------------------------------------------------
 
 
-def model_fingerprint(skip_thread_edges: bool = False) -> str:
+def model_fingerprint() -> str:
     """The cache-identity half that is *not* per-method content: the
     model-library version (package version + the registered native
     summary names — editing a native changes taint transfer without
-    touching any app method's IR) and the knobs that shape
-    balanced-region exploration."""
+    touching any app method's IR)."""
     return sha256_fingerprint({
         "version": __version__,
         "natives": sorted(default_natives()._handlers),
-        "knobs": {"skip_thread_edges": skip_thread_edges},
     })
 
 
@@ -235,12 +232,9 @@ class SummaryBackend:
     calls :meth:`publish` to surface the counters.
     """
 
-    def __init__(self, cache_dir: Optional[str] = None,
-                 skip_thread_edges: bool = False,
-                 max_entries: Optional[int] = None) -> None:
+    def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache_dir = cache_dir
-        self.fingerprint = model_fingerprint(skip_thread_edges)
-        self.max_entries = max_entries
+        self.fingerprint = model_fingerprint()
         self.cache: Optional[SummaryCache] = None
         # Counters, reset by prepare(): region-grain — one sealed
         # region is one hit, one live exploration of a summarizable
@@ -268,11 +262,7 @@ class SummaryBackend:
         # starts with a clean memo.
         self._rebound = {}
         if self.cache is None and self.cache_dir is not None:
-            kwargs = {}
-            if self.max_entries is not None:
-                kwargs["max_entries"] = self.max_entries
-            self.cache = SummaryCache(self.cache_dir, self.fingerprint,
-                                      **kwargs)
+            self.cache = SummaryCache(self.cache_dir, self.fingerprint)
             self.cache.load()
             self.stale += self.cache.stale
             self.evictions += self.cache.evicted

@@ -251,3 +251,29 @@ def test_strategy_override_runs_that_engine(tmp_path, capsys):
         counts[tuple(argv)] = len(json.loads(
             capsys.readouterr().out)["issues"])
     assert counts[("--strategy", "ci")] > counts[()]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-cg-nodes", "-3"],
+    ["--flow-length", "-1"],
+    ["--confirm", "--confirm-fuel", "-5"],
+    ["--deadline", "-1"],
+    ["--profile", "{profile}", "--profile-interval", "0"],
+], ids=["max-cg-nodes", "flow-length", "confirm-fuel", "deadline",
+        "profile-interval"])
+def test_out_of_range_numbers_are_rejected(argv, tmp_path, capsys):
+    """A negative bound (or a non-positive sampling interval) is a
+    usage error: exit 2 and one line naming the flag, before any
+    analysis, instead of a clean result, a degraded one or a
+    traceback."""
+    from repro.bench.micro import MOTIVATING
+    path = tmp_path / "motivating.jlang"
+    path.write_text(MOTIVATING)
+    argv = [arg.format(profile=tmp_path / "profile.txt") for arg in argv]
+    code = main(argv + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(argv[-2])
+    assert not (tmp_path / "profile.txt").exists()

@@ -3,6 +3,7 @@
 from repro.ir import Phi
 from repro.ssa import to_ssa
 from tests.conftest import lower_mini
+from tests.ssa.reference_ssa import reference_to_ssa
 
 
 def ssa_method(source, qname="C.m/1"):
@@ -169,3 +170,31 @@ class C {
     phis = [i for i in method.instructions()
             if isinstance(i, Phi) and i.lhs.startswith("total.")]
     assert len(phis) >= 2  # one per loop header
+
+
+def test_branch_temporary_in_loop_gets_no_phi():
+    """The shape of the model library's ``HashMap.get``: the temporary
+    of ``out = e.val`` is assigned in one branch of a loop body and never
+    read past it.  No use asks for it at a join, so it gets no phi (the
+    Cytron-style reference keeps a dead cycle of two phis for it)."""
+    source = """
+class Entry { Object val; Entry next; }
+class C {
+  Object m(Entry e) {
+    Object out = null;
+    while (e != null) {
+      if (e.val != null) { out = e.val; }
+      e = e.next;
+    }
+    return out;
+  }
+}"""
+    method, _ = ssa_method(source)
+    phis = sorted(i.lhs.rpartition(".")[0] for i in method.instructions()
+                  if isinstance(i, Phi))
+    assert phis == ["e", "out", "out"]  # loop header: e, out; if join: out
+
+    ref = lower_mini(source).lookup_method("C.m/1")
+    reference_to_ssa(ref)
+    ref_phis = [i for i in ref.instructions() if isinstance(i, Phi)]
+    assert sum(i.lhs.startswith("%t") for i in ref_phis) == 2

@@ -1,7 +1,9 @@
-"""Dominator-tree and dominance-frontier tests."""
+"""Dominator-tree and dominance-frontier tests of the reference SSA
+construction's :class:`DominatorTree`, plus reverse postorder."""
 
-from repro.ssa import DominatorTree, reverse_postorder, rpo_numbering
+from repro.ssa import reverse_postorder
 from tests.conftest import lower_mini
+from tests.ssa.reference_ssa import DominatorTree
 
 DIAMOND = """
 class C {
@@ -31,14 +33,6 @@ def test_rpo_starts_at_entry():
     order = reverse_postorder(method)
     assert order[0] == method.entry_block
     assert set(order) == set(method.blocks)
-
-
-def test_rpo_numbering_consistent():
-    method = method_of(DIAMOND)
-    numbering = rpo_numbering(method)
-    order = reverse_postorder(method)
-    for idx, bid in enumerate(order):
-        assert numbering[bid] == idx
 
 
 def test_entry_dominates_everything():
