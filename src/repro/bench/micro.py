@@ -15,7 +15,7 @@ application generator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 # Figure 1 of the paper, adapted to jlang (no nested classes; the
 # methods.length loop bound is a constant; explicit casts where jlang
@@ -359,10 +359,6 @@ class C22 extends HttpServlet {
 MICRO_DESCRIPTORS: Dict[str, Dict[str, str]] = {
     "ejb_dispatch": {"java:comp/env/ejb/Cart": "CartBean22"},
 }
-
-
-def all_case_names() -> List[str]:
-    return sorted(MICRO_CASES)
 
 
 def cyclic_stress(n_ring: int = 12, n_feeds: int = 30,

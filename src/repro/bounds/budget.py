@@ -47,11 +47,6 @@ class Budget:
     max_nested_depth: Optional[int] = None
     max_state_units: Optional[int] = None
 
-    def copy(self) -> "Budget":
-        return Budget(self.max_cg_nodes, self.max_heap_transitions,
-                      self.max_flow_length, self.max_nested_depth,
-                      self.max_state_units)
-
 
 class StateMeter:
     """Counts abstract state units against ``max_state_units``.

@@ -92,10 +92,9 @@ class TAJConfig:
     summary_cache_dir: Optional[str] = None
 
     def with_budget(self, **kwargs) -> "TAJConfig":
-        budget = self.budget.copy()
-        for key, value in kwargs.items():
-            setattr(budget, key, value)
-        return replace(self, budget=budget)
+        """This configuration with the named budget bounds replaced; an
+        unknown bound name raises ``TypeError``."""
+        return replace(self, budget=replace(self.budget, **kwargs))
 
     def with_resilience(self, deadline_seconds: Optional[float] = None,
                         resilient: bool = True) -> "TAJConfig":

@@ -14,7 +14,7 @@ Label conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional
 
 NO_TAINT: FrozenSet[str] = frozenset()
@@ -69,9 +69,6 @@ class JString:
 
     def truthy(self) -> bool:
         return True
-
-    def with_taint(self, taint: FrozenSet[str]) -> "JString":
-        return JString(self.value, self.taint | taint)
 
     def sanitized(self) -> "JString":
         return JString(self.value, NO_TAINT)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .instructions import (Call, Goto, If, Instruction, Phi, Return, Throw,
                            Var, is_terminator)
@@ -31,9 +31,6 @@ class BasicBlock:
 
     def phis(self) -> List[Phi]:
         return [i for i in self.instrs if isinstance(i, Phi)]
-
-    def non_phis(self) -> List[Instruction]:
-        return [i for i in self.instrs if not isinstance(i, Phi)]
 
 
 @dataclass
@@ -159,12 +156,6 @@ class Method:
         for bid in sorted(self.blocks):
             for instr in self.blocks[bid].instrs:
                 yield instr
-
-    def instructions_with_blocks(self) -> Iterator[Tuple[BasicBlock, Instruction]]:
-        for bid in sorted(self.blocks):
-            block = self.blocks[bid]
-            for instr in block.instrs:
-                yield block, instr
 
     def calls(self) -> Iterator[Call]:
         for instr in self.instructions():

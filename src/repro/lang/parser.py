@@ -76,9 +76,6 @@ class Parser:
 
     # -- types ---------------------------------------------------------------
 
-    def _at_type_start(self) -> bool:
-        return self._peek().kind == "id" or self._peek().text in _PRIMITIVE_TYPES
-
     def _parse_type(self) -> str:
         tok = self._peek()
         if tok.kind == "id" or tok.text in _PRIMITIVE_TYPES:

@@ -44,9 +44,9 @@ class NativeSummaries:
 #
 # Handlers build pointer keys through the solver's key factories
 # (``make_alloc`` / ``make_local`` / ``make_field``) rather than the key
-# classes directly: the optimised solver and the preserved seed baseline
-# use different key families, and each solver's tables must only ever
-# hold its own.
+# classes directly: the seed solver kept as a test oracle
+# (``tests/pointer/reference_solver.py``) uses its own key family, and
+# each solver's tables must only ever hold its own.
 
 def returns_new(class_name: str) -> Handler:
     """Return a fresh object allocated at the call site."""
@@ -88,16 +88,6 @@ def returns_arg(index: int) -> Handler:
         solver.add_copy_edge(
             make_local(caller.method, caller.context, call.args[index]),
             make_local(caller.method, caller.context, call.lhs))
-
-    return handler
-
-
-def returns_receiver() -> Handler:
-    def handler(solver, caller, call, callee, receiver) -> None:
-        if call.lhs and receiver is not None:
-            solver.add_pts(
-                solver.make_local(caller.method, caller.context, call.lhs),
-                {receiver})
 
     return handler
 

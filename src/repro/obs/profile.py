@@ -19,8 +19,9 @@ Two backends, both stdlib-only:
   ``sys._current_frames()``.  Wall-clock sampling; works anywhere,
   including where another component owns the process's signals.
 
-``backend="auto"`` picks ``signal`` on the main thread of platforms
-that have ``setitimer``, ``thread`` otherwise.
+A profiler created on the main thread of a platform that has
+``setitimer`` uses ``signal``; one created off the main thread, or
+where itimers are missing, uses ``thread``.
 
 Samples accumulate in a :class:`ProfileData`: collapsed call stacks
 (root→leaf, prefixed with the phase) keyed to sample counts — Brendan
@@ -183,31 +184,21 @@ class SamplingProfiler:
 
     def __init__(self, interval: float = DEFAULT_INTERVAL,
                  tracer: Optional[object] = None,
-                 backend: str = "auto",
                  max_depth: int = 64) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
-        if backend not in ("auto", "signal", "thread"):
-            raise ValueError(f"unknown profiler backend {backend!r}")
         self.interval = interval
         self.tracer = tracer
         self.max_depth = max_depth
         self.data = ProfileData(interval)
-        self.backend = self._pick_backend(backend)
+        on_main = threading.current_thread() is threading.main_thread()
+        self.backend = ("signal" if on_main and hasattr(signal, "setitimer")
+                        else "thread")
         self.running = False
         self._prev_handler = None
         self._thread: Optional[threading.Thread] = None
         self._stop_event = threading.Event()
         self._target_ident: Optional[int] = None
-
-    @staticmethod
-    def _pick_backend(requested: str) -> str:
-        if requested != "auto":
-            return requested
-        on_main = threading.current_thread() is threading.main_thread()
-        if on_main and hasattr(signal, "setitimer"):
-            return "signal"
-        return "thread"
 
     # -- phase attribution -------------------------------------------------
 

@@ -11,16 +11,15 @@ from .policy import ContextPolicy, PolicyConfig
 from .ordering import ChaoticOrder, OrderingPolicy
 from .scc import UnionFind, copy_cycles
 from .solver import PointerAnalysis
-from .baseline import SeedPointerAnalysis
 
 __all__ = [
     "AllocSite", "CallSiteContext", "ChaoticOrder", "Context",
     "ContextPolicy", "EMPTY", "FieldKey", "HeapGraph", "InstanceKey",
     "LocalKey", "ObjContext", "OrderingPolicy", "PointerAnalysis",
-    "PointerKey", "PolicyConfig", "ReturnKey", "SeedPointerAnalysis",
-    "StaticFieldKey", "UnionFind", "clear_context_caches",
-    "clear_key_caches", "copy_cycles", "decode_instance_bits",
-    "encode_instance_keys", "instance_key_count", "truncate",
+    "PointerKey", "PolicyConfig", "ReturnKey", "StaticFieldKey",
+    "UnionFind", "clear_context_caches", "clear_key_caches", "copy_cycles",
+    "decode_instance_bits", "encode_instance_keys", "instance_key_count",
+    "truncate",
 ]
 
 

@@ -253,11 +253,6 @@ def instance_key_count() -> int:
     return len(_INSTANCE_KEYS)
 
 
-def instance_key_at(index: int) -> InstanceKey:
-    """The instance key occupying bit position ``index``."""
-    return _INSTANCE_KEYS[index]
-
-
 def encode_instance_keys(ikeys: Iterable[InstanceKey]) -> int:
     """Fold instance keys into one bitset int."""
     bits = 0

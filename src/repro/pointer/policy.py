@@ -69,9 +69,9 @@ class ContextPolicy:
     ``ctx`` selects the context implementation namespace (any module
     exposing ``EMPTY``, ``ObjContext``, ``CallSiteContext`` and
     ``truncate``).  It defaults to the interned classes in
-    :mod:`repro.pointer.contexts`; the seed baseline solver passes
-    :mod:`repro.pointer.seedkeys` so its contexts stay the original
-    dataclasses.
+    :mod:`repro.pointer.contexts`; the seed solver kept as a test oracle
+    (``tests/pointer/reference_solver.py``) passes its own module so
+    its contexts stay the original dataclasses.
     """
 
     def __init__(self, config: Optional[PolicyConfig] = None,

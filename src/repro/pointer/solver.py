@@ -19,10 +19,10 @@ String values are invisible here: the string-carrier model (§4.2.1) has
 already rewritten string manipulation into primitive ``StringOp``s, so
 strings never pollute points-to sets.
 
-This is the *optimised* kernel; the seed solver it replaced survives in
-:mod:`repro.pointer.baseline` as the differential/perf baseline.  Four
-constraint-graph optimisations (``docs/performance.md``) set the two
-apart:
+This is the *optimised* kernel; the seed solver it replaced is kept
+only as a test oracle (``tests/pointer/reference_solver.py``), which
+must reach the same least fixpoint.  Four constraint-graph
+optimisations (``docs/performance.md``) set the two apart:
 
 * **online cycle elimination** — copy-edge cycles are collapsed through
   the union-find in :mod:`repro.pointer.scc`; every solver structure is
@@ -269,7 +269,8 @@ class PointerAnalysis:
 
     # Key factories: native-method summaries build keys through these so
     # every solver's tables only ever hold its own key family (the seed
-    # baseline overrides them with the original dataclass keys).
+    # solver kept as a test oracle overrides them with its dataclass
+    # keys).
 
     def make_alloc(self, method: str, iid: int,
                    class_name: str) -> InstanceKey:

@@ -12,18 +12,14 @@ matches loads of every field on an aliased base.
 
 The may-alias test ``base_pts ∩ load_pts ≠ ∅`` runs once per
 (store, load) pair per rule, which makes it one of slicing's hottest
-predicates.  Against the optimised solver the context-collapsed sets
-are cached as **bitset ints** and the test is a single big-int AND;
-solvers without a dense ID space (the seed baseline) fall back to the
-frozenset view so the differential pipeline still runs end to end.
+predicates.  The context-collapsed points-to sets are cached as the
+solver's **bitset ints**, so the test is a single big-int AND.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..pointer.keys import InstanceKey
-from .nodes import StmtRef
 from .noheap import ANY_FIELD, LoadSite, NoHeapSDG, StoreSite
 
 
@@ -33,27 +29,15 @@ class DirectEdges:
     def __init__(self, sdg: NoHeapSDG, analysis: object) -> None:
         self.sdg = sdg
         self.analysis = analysis
-        self._pts_cache: Dict[Tuple[str, str], FrozenSet[InstanceKey]] = {}
         self._bits_cache: Dict[Tuple[str, str], int] = {}
-        # Bitset fast path (optimised solver only).
-        self._bits_fn = getattr(analysis, "points_to_var_bits", None)
-
-    def points_to(self, method: str, var: str) -> FrozenSet[InstanceKey]:
-        """Context-collapsed points-to set of a local (cached)."""
-        key = (method, var)
-        cached = self._pts_cache.get(key)
-        if cached is None:
-            cached = frozenset(self.analysis.points_to_var(method, var))
-            self._pts_cache[key] = cached
-        return cached
 
     def points_to_bits(self, method: str, var: str) -> int:
-        """Context-collapsed points-to set as a bitset (cached); only
-        valid when the backing solver exposes a dense ID space."""
+        """Context-collapsed points-to set of a local as a bitset
+        (cached)."""
         key = (method, var)
         cached = self._bits_cache.get(key)
         if cached is None:
-            cached = self._bits_fn(method, var)
+            cached = self.analysis.points_to_var_bits(method, var)
             self._bits_cache[key] = cached
         return cached
 
@@ -71,53 +55,21 @@ class DirectEdges:
             return list(self.sdg.loads_of_field(store.fld))
         base = eff_base if eff_base is not None \
             else (store.stmt.method, store.base)
-        if self._bits_fn is not None:
-            base_bits = self.points_to_bits(*base)
-            if not base_bits:
-                return []
-            points_to_bits = self.points_to_bits
-            return [load for load in self.sdg.loads_of_field(store.fld)
-                    if load.base is not None
-                    and base_bits & points_to_bits(load.stmt.method,
-                                                   load.base)]
-        base_pts = self.points_to(*base)
-        if not base_pts:
-            return []
-        out: List[LoadSite] = []
-        for load in self.sdg.loads_of_field(store.fld):
-            if load.base is None:
-                continue
-            load_pts = self.points_to(load.stmt.method, load.base)
-            if base_pts & load_pts:
-                out.append(load)
-        return out
+        return self._aliased_loads(store.fld, self.points_to_bits(*base))
 
     def loads_for_tainted_object(self, method: str,
                                  var: str) -> List[LoadSite]:
         """Loads of *any* field of objects aliased with ``var`` — used
         for by-reference sources that taint an object's whole state."""
-        if self._bits_fn is not None:
-            base_bits = self.points_to_bits(method, var)
-            if not base_bits:
-                return []
-            points_to_bits = self.points_to_bits
-            return [load for load in self.sdg.loads_of_field(ANY_FIELD)
-                    if load.base is not None
-                    and base_bits & points_to_bits(load.stmt.method,
-                                                   load.base)]
-        base_pts = self.points_to(method, var)
-        if not base_pts:
-            return []
-        out: List[LoadSite] = []
-        for load in self.sdg.loads_of_field(ANY_FIELD):
-            if load.base is None:
-                continue
-            if base_pts & self.points_to(load.stmt.method, load.base):
-                out.append(load)
-        return out
+        return self._aliased_loads(ANY_FIELD,
+                                   self.points_to_bits(method, var))
 
-    def all_store_sites(self) -> List[StoreSite]:
-        out: List[StoreSite] = []
-        for sites in self.sdg.stores_by_field.values():
-            out.extend(sites)
-        return out
+    def _aliased_loads(self, fld: str, base_bits: int) -> List[LoadSite]:
+        """Loads of ``fld`` whose base may point into ``base_bits``."""
+        if not base_bits:
+            return []
+        points_to_bits = self.points_to_bits
+        return [load for load in self.sdg.loads_of_field(fld)
+                if load.base is not None
+                and base_bits & points_to_bits(load.stmt.method,
+                                               load.base)]

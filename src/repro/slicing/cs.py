@@ -35,7 +35,8 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..bounds import StateMeter
 from ..callgraph.graph import CallGraph
 from ..ir import Program
-from ..sdg.nodes import Fact, Stmt, StmtRef
+from ..pointer.keys import decode_instance_bits
+from ..sdg.nodes import Fact, StmtRef
 from ..sdg.noheap import ANY_FIELD, CallSite, LocalEdge, NoHeapSDG
 from ..sdg.tabulation import (Hit, Meta, RuleAdapter, Tabulator,
                               is_thread_edge)
@@ -57,7 +58,6 @@ class CSExtendedSDG(NoHeapSDG):
         self.analysis = analysis
         self._extra_succs: Dict[Fact, List[LocalEdge]] = {}
         self.modref: Dict[str, Set[str]] = {}
-        self._pts_cache: Dict[Tuple[str, str], frozenset] = {}
         # The degradation ladder (repro.resilience) disables the heap
         # channels when falling back from CS to hybrid/CI, turning this
         # graph back into a plain no-heap SDG for the fallback slicer.
@@ -68,17 +68,10 @@ class CSExtendedSDG(NoHeapSDG):
     def disable_channels(self) -> None:
         self.channels_enabled = False
 
-    def _pts(self, method: str, var: str) -> frozenset:
-        key = (method, var)
-        cached = self._pts_cache.get(key)
-        if cached is None:
-            cached = frozenset(self.analysis.points_to_var(method, var))
-            self._pts_cache[key] = cached
-        return cached
-
     def _channels_for(self, method: str, base: str, fld: str) -> List[str]:
         """One channel per abstract object the base may point to."""
-        return [f"@f:{fld}:{ikey}" for ikey in self._pts(method, base)]
+        return [f"@f:{fld}:{ikey}" for ikey in decode_instance_bits(
+            self.analysis.points_to_var_bits(method, base))]
 
     def _build_channels(self) -> None:
         self._gen: Dict[str, Set[str]] = {}
@@ -206,7 +199,8 @@ class CSSlicer(Slicer):
                 # A by-reference source taints the object's whole state:
                 # in CS terms, every heap channel of the argument's
                 # abstract objects is tainted at the call's method.
-                for ikey in self.direct.points_to(method, arg):
+                for ikey in decode_instance_bits(
+                        self.direct.points_to_bits(method, arg)):
                     for fld in self.sdg.loads_by_field:
                         if fld == ANY_FIELD or fld.startswith("static:"):
                             continue

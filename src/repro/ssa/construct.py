@@ -36,9 +36,6 @@ class SSAInfo:
     def_site: Dict[Var, Instruction] = field(default_factory=dict)
     uses: Dict[Var, List[Instruction]] = field(default_factory=dict)
 
-    def users_of(self, var: Var) -> List[Instruction]:
-        return self.uses.get(var, [])
-
 
 def to_ssa(method: Method) -> SSAInfo:
     """Convert ``method`` to SSA form in place and return def-use info."""

@@ -11,15 +11,15 @@ itself is not the argument.  The algorithm is the paper's, verbatim:
 3. synthesize the HSDG edge ``st → sk`` iff ``I_st ∩ I*_sk ≠ ∅``.
 
 The index below precomputes, per rule, the map from instance key to the
-sink statements whose ``I*`` contains it, so step 3 is a set lookup at
-each tainted store."""
+sink statements whose ``I*`` contains it, so step 3 is a lookup per
+object of each tainted store's base."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..pointer.heapgraph import HeapGraph
-from ..pointer.keys import InstanceKey
+from ..pointer.keys import InstanceKey, decode_instance_bits
 from ..sdg.hsdg import DirectEdges
 from ..sdg.noheap import CallSite, NoHeapSDG, StoreSite
 from ..sdg.tabulation import RuleAdapter
@@ -40,21 +40,21 @@ class CarrierIndex:
         self._build()
 
     def _build(self) -> None:
+        points_to_bits = self.direct.points_to_bits
         for sites in self.sdg.call_sites.values():
             for site in sites:
                 vulnerable, _, sink_display = self.adapter.classify(site)
                 if sink_display is None:
                     continue
-                roots: Set[InstanceKey] = set()
+                roots = 0
                 for idx, arg in enumerate(site.call.args):
                     if vulnerable == () or idx in (vulnerable or ()):
-                        roots |= self.direct.points_to(site.stmt.method,
-                                                       arg)
+                        roots |= points_to_bits(site.stmt.method, arg)
                 if not roots:
                     continue
-                reachable = self.heap_graph.reachable(
+                reachable = self.heap_graph.reachable_bits(
                     roots, self.max_nested_depth)
-                for ikey in reachable:
+                for ikey in decode_instance_bits(reachable):
                     self._by_ikey.setdefault(ikey, []).append(
                         (site, sink_display))
 
@@ -68,28 +68,23 @@ class CarrierIndex:
         """
         if store.base is None:
             return []
-        if eff_base is not None:
-            base_pts = self.direct.points_to(*eff_base)
-        else:
-            base_pts = self.direct.points_to(store.stmt.method, store.base)
-        out: List[Tuple[CallSite, str]] = []
-        seen: Set[Tuple[Tuple[str, int], str]] = set()
-        for ikey in base_pts:
-            for site, display in self._by_ikey.get(ikey, []):
-                token = (site.key, display)
-                if token not in seen:
-                    seen.add(token)
-                    out.append((site, display))
-        return out
+        base = eff_base if eff_base is not None \
+            else (store.stmt.method, store.base)
+        return self._sinks_of(self.direct.points_to_bits(*base))
 
     def sinks_for_object(self, method: str,
                          var: str) -> List[Tuple[CallSite, str]]:
         """Sink sites receiving (state reachable from) ``var``'s objects —
         used for by-reference sources."""
+        return self._sinks_of(self.direct.points_to_bits(method, var))
+
+    def _sinks_of(self, base_bits: int) -> List[Tuple[CallSite, str]]:
+        """Sink sites whose I* meets ``base_bits``, deduplicated, in
+        ascending instance-key order."""
         out: List[Tuple[CallSite, str]] = []
         seen: Set[Tuple[Tuple[str, int], str]] = set()
-        for ikey in self.direct.points_to(method, var):
-            for site, display in self._by_ikey.get(ikey, []):
+        for ikey in decode_instance_bits(base_bits):
+            for site, display in self._by_ikey.get(ikey, ()):
                 token = (site.key, display)
                 if token not in seen:
                     seen.add(token)

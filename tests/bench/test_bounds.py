@@ -1,5 +1,7 @@
 """Budget-object tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bounds import Budget, BudgetExhausted, StateMeter, UNBOUNDED
@@ -12,7 +14,7 @@ def test_unbounded_has_no_limits():
 
 def test_copy_is_independent():
     budget = Budget(max_cg_nodes=5)
-    clone = budget.copy()
+    clone = replace(budget)
     clone.max_cg_nodes = 9
     assert budget.max_cg_nodes == 5
 

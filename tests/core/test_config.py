@@ -1,5 +1,7 @@
 """Configuration preset tests (paper Table 1)."""
 
+import pytest
+
 from repro import TAJConfig, settings_matrix
 from repro.core import (DEFAULT_CG_NODE_BOUND, DEFAULT_FLOW_LENGTH_BOUND,
                         DEFAULT_NESTED_DEPTH)
@@ -58,6 +60,14 @@ def test_with_budget_returns_modified_copy():
     assert tweaked.budget.max_flow_length == 7
     assert config.budget.max_flow_length is None
     assert tweaked is not config
+    assert tweaked.budget is not config.budget
+
+
+def test_with_budget_rejects_an_unknown_bound():
+    config = TAJConfig.hybrid_unbounded()
+    with pytest.raises(TypeError):
+        config.with_budget(max_flow_lenght=3)
+    assert not hasattr(config.budget, "max_flow_lenght")
 
 
 def test_settings_matrix_renders_table1():

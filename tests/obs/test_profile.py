@@ -1,6 +1,7 @@
 """Sampling profiler: data model, backends, phase attribution, and the
 pipeline-level contracts (no report drift, self-time within spans)."""
 
+import threading
 import time
 
 import pytest
@@ -69,14 +70,33 @@ def test_hot_loop_markers_cover_solver_and_tabulation():
 
 # -- SamplingProfiler ---------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["signal", "thread"])
-def test_profiler_samples_busy_loop(backend):
-    profiler = SamplingProfiler(interval=0.002, backend=backend)
+def _profile_busy_loop():
+    profiler = SamplingProfiler(interval=0.002)
     profiler.start()
     try:
         _burn_cpu(0.08)
     finally:
         data = profiler.stop()
+    return profiler, data
+
+
+def _in_thread(fn):
+    """``fn()`` run on a fresh (non-main) thread."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive() and out
+    return out[0]
+
+
+@pytest.mark.parametrize("backend", ["signal", "thread"])
+def test_profiler_samples_busy_loop(backend):
+    # The backend follows the creating thread: signal on the main
+    # thread, a sampling thread anywhere else.
+    profiler, data = (_profile_busy_loop() if backend == "signal"
+                      else _in_thread(_profile_busy_loop))
+    assert profiler.backend == backend
     assert not profiler.running
     assert data.samples > 0
     # Without a tracer every sample lands under the fixed phase.
@@ -87,8 +107,7 @@ def test_profiler_samples_busy_loop(backend):
 
 def test_profiler_phase_attribution_follows_tracer_spans():
     tracer = Tracer()
-    profiler = SamplingProfiler(interval=0.002, tracer=tracer,
-                                backend="signal")
+    profiler = SamplingProfiler(interval=0.002, tracer=tracer)
     profiler.start()
     try:
         with tracer.span("phase.pointer_analysis"):
@@ -105,7 +124,7 @@ def test_profiler_phase_attribution_follows_tracer_spans():
 
 
 def test_profiler_context_manager():
-    with SamplingProfiler(interval=0.002, backend="thread") as profiler:
+    with SamplingProfiler(interval=0.002) as profiler:
         assert profiler.running
         time.sleep(0.02)
     assert not profiler.running
@@ -114,8 +133,6 @@ def test_profiler_context_manager():
 def test_profiler_rejects_bad_arguments():
     with pytest.raises(ValueError):
         SamplingProfiler(interval=0.0)
-    with pytest.raises(ValueError):
-        SamplingProfiler(backend="perf")
 
 
 # -- pipeline contracts -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Heap-graph tests (paper §4.1.1)."""
+"""Heap-graph tests (paper §4.1.1); sets of instance keys are bitsets."""
 
 from repro.pointer import HeapGraph
 from tests.pointer.test_solver import analyze
@@ -27,34 +27,41 @@ class Main {
 
 def test_successors_one_step():
     hg, outer, inner, leaf = build()
-    assert hg.successors(outer) == {inner}
-    assert hg.successors(inner) == {leaf}
-    assert hg.successors(leaf) == set()
+    # One field dereference adds exactly each object's successors.
+    assert hg.reachable_bits(outer.bit, max_depth=1) & ~outer.bit == \
+        inner.bit
+    assert hg.reachable_bits(inner.bit, max_depth=1) & ~inner.bit == \
+        leaf.bit
+    assert hg.reachable_bits(leaf.bit, max_depth=1) == leaf.bit
 
 
 def test_reachable_unbounded():
     hg, outer, inner, leaf = build()
-    assert hg.reachable([outer]) == {outer, inner, leaf}
+    assert hg.reachable_bits(outer.bit) == \
+        outer.bit | inner.bit | leaf.bit
 
 
 def test_reachable_depth_zero_is_roots_only():
     hg, outer, inner, leaf = build()
-    assert hg.reachable([outer], max_depth=0) == {outer}
+    assert hg.reachable_bits(outer.bit, max_depth=0) == outer.bit
 
 
 def test_reachable_depth_one():
     hg, outer, inner, leaf = build()
-    assert hg.reachable([outer], max_depth=1) == {outer, inner}
+    assert hg.reachable_bits(outer.bit, max_depth=1) == \
+        outer.bit | inner.bit
 
 
 def test_reachable_depth_two_covers_all():
     hg, outer, inner, leaf = build()
-    assert hg.reachable([outer], max_depth=2) == {outer, inner, leaf}
+    assert hg.reachable_bits(outer.bit, max_depth=2) == \
+        outer.bit | inner.bit | leaf.bit
 
 
 def test_reachable_multiple_roots():
     hg, outer, inner, leaf = build()
-    assert hg.reachable([inner, leaf], max_depth=0) == {inner, leaf}
+    assert hg.reachable_bits(inner.bit | leaf.bit, max_depth=0) == \
+        inner.bit | leaf.bit
 
 
 def test_cycle_terminates():
@@ -70,4 +77,4 @@ class Main {
 }""")
     hg = HeapGraph(pa)
     a = next(iter(pa.points_to_var("Main.main/0", "a.1")))
-    assert len(hg.reachable([a])) == 2
+    assert hg.reachable_bits(a.bit).bit_count() == 2

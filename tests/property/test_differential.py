@@ -1,5 +1,5 @@
 """Differential testing: dynamic execution vs the static strategies,
-and the optimised solver kernel vs the preserved seed solver.
+and the optimised solver kernel vs the seed solver kept as an oracle.
 
 For randomly composed servlets we check the soundness lattice
 
@@ -13,7 +13,8 @@ baseline ordering).
 The solver property test checks the kernel overhaul end to end: for
 every composed program, :class:`repro.pointer.PointerAnalysis` (online
 cycle elimination, interned keys, coalescing worklist) must compute the
-identical least fixpoint as :class:`repro.pointer.SeedPointerAnalysis`.
+identical least fixpoint as the seed solver,
+:class:`tests.pointer.reference_solver.SeedPointerAnalysis`.
 Both run with an unbounded budget — the fixpoint is order-independent,
 but budget truncation is not.
 """
@@ -23,8 +24,8 @@ from hypothesis import given, settings, strategies as st
 from repro import TAJ, TAJConfig
 from repro.interp import run_dynamic
 from repro.modeling import default_natives, prepare
-from repro.pointer import (ChaoticOrder, ContextPolicy, PointerAnalysis,
-                           SeedPointerAnalysis)
+from repro.pointer import ChaoticOrder, ContextPolicy, PointerAnalysis
+from tests.pointer.reference_solver import SeedPointerAnalysis
 
 SNIPPETS = {
     "direct": '    resp.getWriter().println(req.getParameter("p{i}"));',

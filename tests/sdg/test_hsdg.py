@@ -97,6 +97,15 @@ def test_points_to_is_cached():
 class Main {
   static void main() { Object o = new Object(); }
 }""")
-    first = direct.points_to("Main.main/0", "o.1")
-    second = direct.points_to("Main.main/0", "o.1")
-    assert first is second
+    calls = []
+    solver_bits = direct.analysis.points_to_var_bits
+
+    def counting(method, var):
+        calls.append((method, var))
+        return solver_bits(method, var)
+
+    direct.analysis.points_to_var_bits = counting
+    first = direct.points_to_bits("Main.main/0", "o.1")
+    second = direct.points_to_bits("Main.main/0", "o.1")
+    assert first == second and first.bit_count() == 1
+    assert calls == [("Main.main/0", "o.1")]
