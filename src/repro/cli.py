@@ -216,7 +216,14 @@ def _load_descriptor(path: Optional[str]) -> Optional[Dict[str, str]]:
             from None
     if not isinstance(data, dict):
         raise ValueError(f"descriptor {path} must contain a JSON object")
-    return {str(k): str(v) for k, v in data.items()}
+    for name, bean in data.items():
+        # str() would turn null, 5 or ["x"] into a bean class no
+        # program declares, and the EJB flows would vanish silently.
+        if not isinstance(bean, str):
+            raise ValueError(f"descriptor {path}: the bean class of "
+                             f"{name!r} must be a string, got "
+                             f"{json.dumps(bean)}")
+    return data
 
 
 def _range_error(args: argparse.Namespace) -> Optional[str]:

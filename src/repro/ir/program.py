@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -100,6 +101,17 @@ class Method:
         iid = self._next_iid
         self._next_iid += 1
         return iid
+
+    def copy(self) -> "Method":
+        """A copy whose blocks and iid counter can be rewritten without
+        touching this method; the instructions themselves are shared, so
+        a rewrite must replace them rather than edit them."""
+        clone = copy.copy(self)
+        clone.blocks = {bid: BasicBlock(bid, list(block.instrs),
+                                        list(block.succs), list(block.preds))
+                        for bid, block in self.blocks.items()}
+        clone.var_types = dict(self.var_types)
+        return clone
 
     def finish(self) -> None:
         """Derive succ/pred edges from terminators.
@@ -214,6 +226,13 @@ class ClassDecl:
     def get_method(self, name: str, arity: int) -> Optional[Method]:
         return self.methods.get((name, arity))
 
+    def copy(self) -> "ClassDecl":
+        """A copy whose method table can be changed without touching
+        this class; fields and methods are shared until replaced."""
+        clone = copy.copy(self)
+        clone.methods = dict(self.methods)
+        return clone
+
     def __repr__(self) -> str:
         kind = "interface" if self.is_interface else "class"
         return f"<{kind} {self.name}>"
@@ -292,12 +311,3 @@ class Program:
             "app_instructions": app_instrs,
             "total_instructions": app_instrs + lib_instrs,
         }
-
-    def merge(self, other: "Program") -> None:
-        """Merge another program's classes into this one (library linking)."""
-        for cls in other.classes.values():
-            if cls.name not in self.classes:
-                self.classes[cls.name] = cls
-        self.entrypoints.extend(
-            e for e in other.entrypoints if e not in self.entrypoints)
-        self.deployment_descriptor.update(other.deployment_descriptor)

@@ -7,7 +7,7 @@ pointer-analysis result downstream.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List, Optional
 
 from .instructions import Phi, is_terminator
 from .program import Method, Program
@@ -56,10 +56,12 @@ def validate_method(method: Method) -> List[str]:
     return problems
 
 
-def validate_program(program: Program) -> None:
-    """Validate every method; raise :class:`ValidationError` on failure."""
+def validate_program(program: Program,
+                     methods: Optional[Iterable[Method]] = None) -> None:
+    """Validate ``methods`` (default: every method of the program) and
+    the entrypoints; raise :class:`ValidationError` on failure."""
     problems: List[str] = []
-    for method in program.methods():
+    for method in program.methods() if methods is None else methods:
         problems.extend(validate_method(method))
     for entry in program.entrypoints:
         if program.lookup_method(entry) is None:

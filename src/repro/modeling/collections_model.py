@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from ..ir import (Call, Const, Instruction, Load, Method, Program, Select,
-                  Store)
+from ..ir import Call, Const, Instruction, Load, Method, Select, Store
 from ..ssa import ConstantValues
 from .stdlib import DICT_CLASSES
 
@@ -43,7 +42,7 @@ def _dict_kind(recv_type: str) -> str:
     return "session" if recv_type == "HttpSession" else "map"
 
 
-def _match(method: Method, instr: Instruction) -> Optional[str]:
+def access_kind(method: Method, instr: Instruction) -> Optional[str]:
     """If ``instr`` is a dictionary access, return its kind."""
     if not isinstance(instr, Call) or instr.kind != "virtual" or \
             not instr.receiver:
@@ -74,7 +73,7 @@ class DictionaryModel:
         if method.is_native:
             return
         for instr in method.instructions():
-            kind = _match(method, instr)
+            kind = access_kind(method, instr)
             if kind is None:
                 continue
             key = constants.string_constant_of(instr.args[0])
@@ -84,13 +83,16 @@ class DictionaryModel:
     # -- pass 2: rewrite ------------------------------------------------------
 
     def rewrite(self, method: Method, constants: ConstantValues) -> int:
+        """Rewrite ``method``'s dictionary accesses; only the blocks that
+        hold one get a new instruction list."""
         if method.is_native:
             return 0
         count = 0
         for block in method.blocks.values():
+            before = count
             out: List[Instruction] = []
             for instr in block.instrs:
-                kind = _match(method, instr)
+                kind = access_kind(method, instr)
                 if kind is None:
                     out.append(instr)
                     continue
@@ -101,7 +103,8 @@ class DictionaryModel:
                 else:
                     out.extend(self._lower_get(method, instr, key, kind))
                 count += 1
-            block.instrs = out
+            if count != before:
+                block.instrs = out
         self.rewritten += count
         return count
 
@@ -145,16 +148,15 @@ class DictionaryModel:
         return instrs
 
 
-def rewrite_program(program: Program,
+def rewrite_methods(methods: List[Method],
                     constants_by_method: Dict[str, ConstantValues]) -> int:
-    """Run both passes over every method with available constants."""
+    """Run both passes over the ``methods`` with available constants;
+    the key universe is collected from the same methods."""
     model = DictionaryModel()
-    for method in program.methods():
-        constants = constants_by_method.get(method.qname)
-        if constants is not None:
-            model.collect(method, constants)
-    for method in program.methods():
-        constants = constants_by_method.get(method.qname)
-        if constants is not None:
-            model.rewrite(method, constants)
+    pairs = [(method, constants_by_method[method.qname])
+             for method in methods if method.qname in constants_by_method]
+    for method, constants in pairs:
+        model.collect(method, constants)
+    for method, constants in pairs:
+        model.rewrite(method, constants)
     return model.rewritten

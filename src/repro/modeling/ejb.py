@@ -38,6 +38,15 @@ def _artifact_name(bean_class: str) -> str:
     return f"$EJBHome${bean_class}"
 
 
+def is_lookup(method: Method, instr: Instruction) -> bool:
+    """A JNDI ``lookup`` on an ``InitialContext``: the only call the
+    pass rewrites."""
+    return isinstance(instr, Call) and instr.kind == "virtual" and \
+        instr.method_name == "lookup" and instr.arity == 1 and \
+        bool(instr.lhs) and \
+        method.type_of(instr.receiver or "") == "InitialContext"
+
+
 class EJBModel:
     """Deployment-descriptor-driven EJB call resolution."""
 
@@ -74,13 +83,10 @@ class EJBModel:
             return 0
         count = 0
         for block in method.blocks.values():
+            before = count
             out: List[Instruction] = []
             for instr in block.instrs:
-                if isinstance(instr, Call) and instr.kind == "virtual" and \
-                        instr.method_name == "lookup" and \
-                        instr.arity == 1 and instr.lhs and \
-                        method.type_of(instr.receiver or "") == \
-                        "InitialContext":
+                if is_lookup(method, instr):
                     key = constants.string_constant_of(instr.args[0])
                     bean = descriptor.get(key) if key is not None else None
                     artifact = self._ensure_artifact(bean) if bean else None
@@ -92,13 +98,15 @@ class EJBModel:
                         count += 1
                         continue
                 out.append(instr)
-            block.instrs = out
+            if count != before:
+                block.instrs = out
         self.resolved += count
         return count
 
-    def rewrite_program(
-            self, constants_by_method: Dict[str, ConstantValues]) -> int:
-        for method in list(self.program.methods()):
+    def rewrite_methods(
+            self, methods: List[Method],
+            constants_by_method: Dict[str, ConstantValues]) -> int:
+        for method in methods:
             constants = constants_by_method.get(method.qname)
             if constants is not None:
                 self.rewrite_method(method, constants)

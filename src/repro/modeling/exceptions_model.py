@@ -27,6 +27,7 @@ def rewrite_method(method: Method) -> int:
     inserted = 0
     counter = 0
     for block in method.blocks.values():
+        before = inserted
         out: List[Instruction] = []
         for instr in block.instrs:
             out.append(instr)
@@ -43,7 +44,8 @@ def rewrite_method(method: Method) -> int:
                 store.line = instr.line
                 out.extend([call, store])
                 inserted += 1
-        block.instrs = out
+        if inserted != before:
+            block.instrs = out
     return inserted
 
 

@@ -1,6 +1,10 @@
 """The front half of the TAJ pipeline: parse, lower, and apply models.
 
-Order matters and mirrors the design notes in each pass:
+The model library arrives prepared (:func:`~.stdlib.prepared_library`):
+built once per process, shared by every run, and never written to.  The
+steps below therefore run on the application's methods, plus a per-run
+copy of each library method the constant-key rewrite changes.  Order
+matters and mirrors the design notes in each pass:
 
 1. load the model library, lower application sources, record the
    deployment descriptor;
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from ..ir import Program, validate_program
+from ..ir import Method, Program, validate_program
 from ..lang import Lowerer, tokenize
 from ..lang.errors import SourceError
 from ..lang.parser import Parser
@@ -31,7 +35,7 @@ from ..ssa import ConstantValues, SSAInfo, to_ssa
 from . import (collections_model, exceptions_model, reflection, strings,
                struts)
 from .ejb import EJBModel
-from .stdlib import load_stdlib
+from .stdlib import PreparedLibrary, load_stdlib, prepared_library
 from .whitelist import default_whitelist, validate_whitelist
 
 
@@ -54,8 +58,6 @@ class PreparedProgram:
     """A fully modeled, SSA-form program ready for pointer analysis."""
 
     program: Program
-    ssa: Dict[str, SSAInfo] = field(default_factory=dict)
-    constants: Dict[str, ConstantValues] = field(default_factory=dict)
     whitelist: Set[str] = field(default_factory=set)
     stats: Dict[str, int] = field(default_factory=dict)
 
@@ -121,6 +123,28 @@ def _lower_units(program: Program, app_sources: List[str],
     return len(failed_units)
 
 
+def _run_methods(program: Program, library: PreparedLibrary
+                 ) -> List[Method]:
+    """The methods a run prepares itself: those of every class that is
+    not the shared library's own (by identity, not by ``is_library``:
+    applications declare library classes too)."""
+    return [method for name, cls in program.classes.items()
+            if library.classes.get(name) is not cls
+            for method in cls.methods.values()]
+
+
+def _own_copy(program: Program, library: PreparedLibrary,
+              qname: str) -> Method:
+    """Replace the shared library method ``qname`` in ``program`` by a
+    copy the run may rewrite, copying its class entry first."""
+    method = program.lookup_method(qname).copy()
+    cls = program.classes[method.class_name]
+    if library.classes.get(cls.name) is cls:
+        cls = program.classes[cls.name] = cls.copy()
+    cls.add_method(method)
+    return method
+
+
 def prepare(app_sources: List[str],
             deployment_descriptor: Optional[Dict[str, str]] = None,
             options: Optional[ModelOptions] = None,
@@ -147,10 +171,11 @@ def prepare(app_sources: List[str],
     quarantined = 0
     with tracer.span("modeling.lower", sources=len(app_sources)):
         with tracer.span("lang.stdlib"):
-            program = load_stdlib()
+            program = load_stdlib(options.strings)
         if app_sources:
             quarantined = _lower_units(program, app_sources, resilience,
                                        obs)
+    library = prepared_library(options.strings)
     if deployment_descriptor:
         program.deployment_descriptor.update(deployment_descriptor)
     for entry in extra_entrypoints or []:
@@ -170,16 +195,19 @@ def prepare(app_sources: List[str],
         with tracer.span("modeling.exceptions"):
             stats["exception_sources"] = \
                 exceptions_model.rewrite_program(program)
+    # Every pass from here on visits only these methods.
+    methods = _run_methods(program, library)
     if options.strings:
         seam()
         with tracer.span("modeling.strings"):
-            stats["string_ops"] = strings.rewrite_program(program)
+            stats["string_ops"] = sum(strings.rewrite_method(method)
+                                      for method in methods)
 
     ssa_by: Dict[str, SSAInfo] = {}
     constants: Dict[str, ConstantValues] = {}
     seam()
     with tracer.span("modeling.ssa") as span:
-        for method in program.methods():
+        for method in methods:
             info = to_ssa(method)
             ssa_by[method.qname] = info
             if not method.is_native:
@@ -189,18 +217,22 @@ def prepare(app_sources: List[str],
     if options.reflection:
         seam()
         with tracer.span("modeling.reflection"):
-            stats["reflective_calls_resolved"] = \
-                reflection.rewrite_program(program, ssa_by, constants)
+            stats["reflective_calls_resolved"] = reflection.rewrite_methods(
+                program, methods, ssa_by, constants)
     if options.collections:
         seam()
         with tracer.span("modeling.collections"):
+            for qname, values in library.dictionary_constants.items():
+                methods.append(_own_copy(program, library, qname))
+                constants[qname] = values
             stats["dictionary_accesses"] = \
-                collections_model.rewrite_program(program, constants)
+                collections_model.rewrite_methods(methods, constants)
     if options.ejb and program.deployment_descriptor:
         seam()
         with tracer.span("modeling.ejb"):
             model = EJBModel(program)
-            stats["ejb_calls_resolved"] = model.rewrite_program(constants)
+            stats["ejb_calls_resolved"] = model.rewrite_methods(methods,
+                                                                constants)
             for name in model.generated:
                 cls = program.get_class(name)
                 for method in cls.methods.values():
@@ -211,13 +243,13 @@ def prepare(app_sources: List[str],
                     if not method.is_native:
                         constants[method.qname] = ConstantValues(method,
                                                                  info)
+                    methods.append(method)
 
     seam()
     with tracer.span("modeling.validate"):
-        validate_program(program)
+        validate_program(program, methods)
         whitelist = (validate_whitelist(program, default_whitelist())
                      if options.whitelist else set())
     obs.metrics.merge_counters(stats, prefix="modeling.")
-    return PreparedProgram(program=program, ssa=ssa_by,
-                           constants=constants, whitelist=whitelist,
+    return PreparedProgram(program=program, whitelist=whitelist,
                            stats=stats)

@@ -44,6 +44,14 @@ class _Abs:
     method_name: Optional[str] = None   # for getMethod with constant name
 
 
+def is_for_name(instr: Instruction) -> bool:
+    """A ``Class.forName`` call: every abstract value starts at one, so
+    a method without one is never rewritten."""
+    return isinstance(instr, Call) and instr.kind == "static" and \
+        instr.class_name == "Class" and instr.method_name == "forName" \
+        and instr.arity == 1
+
+
 class ReflectionResolver:
     """Resolves reflective calls within one method."""
 
@@ -63,8 +71,7 @@ class ReflectionResolver:
 
     def _transfer(self, instr: Instruction) -> Optional[_Abs]:
         if isinstance(instr, Call):
-            if instr.kind == "static" and instr.class_name == "Class" and \
-                    instr.method_name == "forName" and instr.arity == 1:
+            if is_for_name(instr):
                 name = self.constants.string_constant_of(instr.args[0])
                 if name is not None and name in self.program.classes:
                     return _Abs("cls", name)
@@ -219,6 +226,7 @@ class ReflectionResolver:
         if not self.values:
             return 0
         for block in self.method.blocks.values():
+            before = self.resolved
             out: List[Instruction] = []
             for instr in block.instrs:
                 replacement: Optional[List[Instruction]] = None
@@ -233,16 +241,18 @@ class ReflectionResolver:
                 else:
                     out.extend(replacement)
                     self.resolved += 1
-            block.instrs = out
+            if self.resolved != before:
+                block.instrs = out
         return self.resolved
 
 
-def rewrite_program(program: Program,
+def rewrite_methods(program: Program, methods: List[Method],
                     ssa_by_method: Dict[str, SSAInfo],
                     constants_by_method: Dict[str, ConstantValues]) -> int:
-    """Resolve reflection program-wide; returns number of rewritten calls."""
+    """Resolve reflection in ``methods``; returns number of rewritten
+    calls."""
     total = 0
-    for method in program.methods():
+    for method in methods:
         if method.is_native:
             continue
         ssa = ssa_by_method.get(method.qname)

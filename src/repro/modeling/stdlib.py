@@ -12,16 +12,23 @@ exceptions, Struts bases) have real jlang bodies; opaque operations
 methods whose pointer behaviour comes from
 :mod:`repro.modeling.natives` and whose taint behaviour comes from the
 security rules.
+
+The library is the same input for every application, so it is prepared
+once per process (:func:`prepared_library`) and every analysis's
+program shares that build (:func:`load_stdlib`).
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Set
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, Mapping, Set
 
-from ..ir import Program
+from ..ir import ClassDecl, Program, ValidationError, validate_program
 from ..lang import Lowerer, parse
 from ..lang.ast import CompilationUnit
+from ..ssa import ConstantValues, to_ssa
 
 # Classes treated as string carriers (paper §4.2.1).
 STRING_CARRIERS: Set[str] = {"String", "StringBuffer", "StringBuilder"}
@@ -425,14 +432,72 @@ def _stdlib_unit() -> CompilationUnit:
     return parse(STDLIB_SOURCE, "<stdlib>")
 
 
-def load_stdlib(program: Program = None) -> Program:
-    """Lower the model library into ``program`` (or a fresh one).
+@dataclass(frozen=True)
+class PreparedLibrary:
+    """The model library as every analysis starts from it: lowered,
+    string-rewritten (unless built for ``strings=False``), in SSA form
+    and validated.
 
-    The library is parsed once per process and lowered on every call.
-    Lowering only reads the AST, and each call builds new IR, so the
-    model passes that rewrite a program's IR in place never reach the
-    library another analysis loads.
+    Every program :func:`load_stdlib` returns refers to these very
+    classes, so no pass may write into them.  The one part that depends
+    on the application is the constant-key rewrite (paper §4.2.1): a
+    wildcard ``get`` reads every key the application uses.
+    ``dictionary_constants`` maps each method that rewrite changes to
+    its constants; a run rewrites its own copy of each, starting from
+    the shared pre-rewrite state.
     """
-    lowerer = Lowerer(program)
+
+    classes: Mapping[str, ClassDecl]
+    dictionary_constants: Mapping[str, ConstantValues]
+
+
+@functools.cache
+def prepared_library(strings: bool = True) -> PreparedLibrary:
+    """Build the prepared model library, once per process and per value
+    of ``ModelOptions.strings`` (the only model option library IR
+    depends on).
+
+    Reflection and EJB resolution rewrite calls to ``Class.forName`` and
+    ``InitialContext.lookup``; the library declares both as natives and
+    never calls them, which is what lets the per-run passes skip it.  A
+    library edit that breaks this fails here.
+    """
+    # The passes import this module's class tables, so they are imported
+    # here rather than at the top.
+    from .collections_model import access_kind
+    from .ejb import is_lookup
+    from .reflection import is_for_name
+    from .strings import rewrite_method as rewrite_strings
+
+    lowerer = Lowerer()
     lowerer.add_unit(_stdlib_unit())
-    return lowerer.lower_all()
+    library = lowerer.lower_all()
+    dictionary: Dict[str, ConstantValues] = {}
+    for method in library.methods():
+        if strings:
+            rewrite_strings(method)
+        info = to_ssa(method)
+        instrs = list(method.instructions())
+        if any(is_for_name(i) or is_lookup(method, i) for i in instrs):
+            raise ValidationError(
+                f"model library method {method.qname} calls Class.forName "
+                "or InitialContext.lookup, which are resolved in "
+                "application methods only")
+        if any(access_kind(method, i) for i in instrs):
+            dictionary[method.qname] = ConstantValues(method, info)
+    validate_program(library)
+    return PreparedLibrary(MappingProxyType(library.classes),
+                           MappingProxyType(dictionary))
+
+
+def load_stdlib(strings: bool = True) -> Program:
+    """A fresh program holding the prepared model library.
+
+    The program's ``classes`` dict is its own: a run adds its classes
+    and replaces the entries it rewrites.  The classes in it are those
+    of :func:`prepared_library`, shared by every program this returns;
+    the first call per process and per ``strings`` value builds them.
+    """
+    program = Program()
+    program.classes.update(prepared_library(strings).classes)
+    return program

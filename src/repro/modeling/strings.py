@@ -36,7 +36,10 @@ def _is_carrier_static(call: Call) -> bool:
 
 
 def rewrite_method(method: Method) -> int:
-    """Rewrite string-carrier operations in one method; returns count."""
+    """Rewrite string-carrier operations in one method; returns count.
+
+    Only the blocks that hold such an operation get a new instruction
+    list."""
     if method.is_native:
         return 0
     rewritten = 0
@@ -49,6 +52,7 @@ def rewrite_method(method: Method) -> int:
         return var
 
     for block in method.blocks.values():
+        before = rewritten
         out: List[Instruction] = []
         for instr in block.instrs:
             if isinstance(instr, New) and \
@@ -115,7 +119,8 @@ def rewrite_method(method: Method) -> int:
                 rewritten += 1
                 continue
             out.append(instr)
-        block.instrs = out
+        if rewritten != before:
+            block.instrs = out
     return rewritten
 
 

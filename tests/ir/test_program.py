@@ -3,7 +3,8 @@
 import pytest
 
 from repro.ir import (Assign, ClassDecl, Const, FieldDecl, Goto, If, Method,
-                      Param, Program, Return, STRING, parse_type)
+                      Param, Program, Return, STRING, format_class,
+                      parse_type)
 from tests.conftest import lower_mini
 
 
@@ -106,16 +107,6 @@ class C {
     assert stats["app_instructions"] > 0
 
 
-def test_merge_programs():
-    a = lower_mini("class A { }")
-    b = Program()
-    b.add_class(ClassDecl("B"))
-    b.entrypoints.append("B.main/0")
-    a.merge(b)
-    assert a.get_class("B") is not None
-    assert "B.main/0" in a.entrypoints
-
-
 def test_type_of_handles_ssa_versions():
     method = build_method()
     method.var_types["x"] = "String"
@@ -134,3 +125,21 @@ def test_instruction_count():
     program = lower_mini("class C { void m() { int x = 1; } }")
     method = program.lookup_method("C.m/0")
     assert method.instruction_count() == len(list(method.instructions()))
+
+
+def test_copies_leave_the_original_untouched():
+    program = lower_mini("class C { Object m(Object a) { return a; } }")
+    cls = program.get_class("C")
+    method = cls.get_method("m", 1)
+    before = format_class(cls), method._next_iid
+    own_cls, own = cls.copy(), method.copy()
+    own_cls.add_method(own)
+    block = own.blocks[own.entry_block]
+    block.instrs.insert(0, Const("x", 1))
+    block.succs.append(7)
+    own.var_types["x"] = "int"
+    own.fresh_iid()
+    assert own_cls.get_method("m", 1) is own
+    assert cls.get_method("m", 1) is method
+    assert (format_class(cls), method._next_iid) == before
+    assert "x" not in method.var_types

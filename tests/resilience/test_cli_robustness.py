@@ -74,6 +74,12 @@ UNREADABLE = {
         "--descriptor", write(tmp, "ejb.json", "{not json"), good],
     "non-object-descriptor": lambda tmp, good: [
         "--descriptor", write(tmp, "ejb.json", "[1, 2]"), good],
+    "null-bean-descriptor": lambda tmp, good: [
+        "--descriptor", write(tmp, "ejb.json", '{"ejb/A": null}'), good],
+    "number-bean-descriptor": lambda tmp, good: [
+        "--descriptor", write(tmp, "ejb.json", '{"ejb/A": 5}'), good],
+    "list-bean-descriptor": lambda tmp, good: [
+        "--descriptor", write(tmp, "ejb.json", '{"ejb/A": ["x"]}'), good],
 }
 
 
