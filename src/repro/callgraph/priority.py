@@ -21,10 +21,10 @@ analyzed region is the one most likely to carry tainted flows.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..ir import ArrayLoad, ArrayStore, Call, Load, Method, Store
-from .graph import CGNode
+from .graph import CallGraph, CGNode
 
 from ..pointer.ordering import OrderingPolicy
 
@@ -69,10 +69,12 @@ class PriorityOrder(OrderingPolicy):
         # field name -> method qnames containing a load of that field
         self._loaders: Dict[str, Set[str]] = {}
 
-    # -- classification ------------------------------------------------------
+    def attach(self, lookup_method: Callable[[str], Optional[Method]],
+               call_graph: CallGraph) -> None:
+        self._method = lookup_method
+        self._call_graph = call_graph
 
-    def _method(self, qname: str) -> Optional[Method]:
-        return self.solver.program.lookup_method(qname)
+    # -- classification ------------------------------------------------------
 
     def _source_node(self, qname: str) -> bool:
         cached = self._is_source_node.get(qname)
@@ -167,7 +169,7 @@ class PriorityOrder(OrderingPolicy):
     # -- §6.1 steps 2-5 -----------------------------------------------------------
 
     def _neighbourhood(self, node: CGNode) -> Set[CGNode]:
-        cg = self.solver.call_graph
+        cg = self._call_graph
         out: Set[CGNode] = set(cg.neighbors(node))
         stores, _ = self._fields(node.method)
         matched_methods: Set[str] = set()

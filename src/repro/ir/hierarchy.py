@@ -32,6 +32,7 @@ class ClassHierarchy:
             while cur is not None and cur.name not in seen:
                 seen.add(cur.name)
                 chain.append(cur.name)
+                # Interface subtyping is transitive through superclasses.
                 for iface in cur.interfaces:
                     self._subclasses.setdefault(iface, set()).add(cls.name)
                 cur = (self.program.get_class(cur.super_name)
@@ -39,12 +40,6 @@ class ClassHierarchy:
             self._supers[cls.name] = chain
             for ancestor in chain:
                 self._subclasses.setdefault(ancestor, set()).add(cls.name)
-            # Interface subtyping is transitive through superclasses.
-            for ancestor in chain[1:]:
-                decl = self.program.get_class(ancestor)
-                if decl:
-                    for iface in decl.interfaces:
-                        self._subclasses.setdefault(iface, set()).add(cls.name)
 
     # -- subtyping ---------------------------------------------------------
 

@@ -7,21 +7,22 @@ scheme in :mod:`repro.callgraph.priority` can import it without cycles.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, TYPE_CHECKING
+from typing import Callable, Deque, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..callgraph.graph import CGNode
-    from .solver import PointerAnalysis
+    from ..callgraph.graph import CallGraph, CGNode
+    from ..ir import Method
 
 
 class OrderingPolicy:
     """Decides the order in which pending call-graph nodes get their
     pointer-analysis constraints added (paper §6.1)."""
 
-    solver: "PointerAnalysis"
-
-    def attach(self, solver: "PointerAnalysis") -> None:
-        self.solver = solver
+    def attach(self, lookup_method: Callable[[str], Optional["Method"]],
+               call_graph: "CallGraph") -> None:
+        """Called once by the solver with the program's method lookup
+        and the call graph it grows.  The order never holds the solver
+        itself, so a finished solve is freed by reference counting."""
 
     def on_node_created(self, node: "CGNode") -> None:
         raise NotImplementedError

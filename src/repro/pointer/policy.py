@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Set
 
 from ..ir import Call, Method
-from . import contexts as _default_contexts
 from .contexts import Context
-from .keys import InstanceKey
+from .keys import InstanceKey, KeyTable
 
 # Default depth cap realizing "unlimited-depth (up to recursion)".
 COLLECTION_DEPTH = 6
@@ -66,18 +65,20 @@ class PolicyConfig:
 class ContextPolicy:
     """Implements the callee-context and heap-context decisions.
 
-    ``ctx`` selects the context implementation namespace (any module
-    exposing ``EMPTY``, ``ObjContext``, ``CallSiteContext`` and
-    ``truncate``).  It defaults to the interned classes in
-    :mod:`repro.pointer.contexts`; the seed solver kept as a test oracle
-    (``tests/pointer/reference_solver.py``) passes its own module so
-    its contexts stay the original dataclasses.
+    ``ctx`` is the namespace contexts are built in: anything exposing
+    ``EMPTY``, the ``CallSiteContext`` class, and ``obj_context``,
+    ``call_site_context`` and ``truncate``.  It defaults to a fresh
+    :class:`~repro.pointer.keys.KeyTable`.  A solver rebuilds the policy
+    it is given over its own namespace: the kernel over its run's key
+    table, the seed solver kept as a test oracle
+    (``tests/pointer/reference_solver.py``) over its module of original
+    dataclasses.
     """
 
     def __init__(self, config: Optional[PolicyConfig] = None,
                  ctx=None) -> None:
         self.config = config or PolicyConfig()
-        self.ctx = ctx or _default_contexts
+        self.ctx = KeyTable() if ctx is None else ctx
 
     # -- classification -----------------------------------------------------
 
@@ -101,15 +102,15 @@ class ContextPolicy:
         cfg = self.config
         ctx = self.ctx
         if cfg.taint_api_call_strings and self.is_taint_api(callee):
-            return ctx.CallSiteContext(caller_method, call.iid)
+            return ctx.call_site_context(caller_method, call.iid)
         if cfg.factory_call_strings and self.is_factory(callee):
-            return ctx.CallSiteContext(caller_method, call.iid)
+            return ctx.call_site_context(caller_method, call.iid)
         if receiver is not None and cfg.object_sensitive:
             if cfg.collections_unlimited and \
                     self.is_collection_class(callee.class_name):
-                return ctx.truncate(ctx.ObjContext(receiver),
+                return ctx.truncate(ctx.obj_context(receiver),
                                     cfg.collection_depth)
-            return ctx.truncate(ctx.ObjContext(receiver), MAX_DEPTH)
+            return ctx.truncate(ctx.obj_context(receiver), MAX_DEPTH)
         return ctx.EMPTY
 
     def heap_context(self, method: Method, context: Context) -> Context:

@@ -31,8 +31,9 @@ optimisations (``docs/performance.md``) set the two apart:
   into its pending-delta bitset instead of enqueueing another entry, so
   a key is processed once per drain with its whole accumulated delta
   (the seed enqueued one frozenset per ``add_pts`` call);
-* **interned keys** — see :mod:`repro.pointer.keys`: identity-compared,
-  hash-precomputed keys make the dict probes this loop lives on cheap;
+* **interned keys** — see :mod:`repro.pointer.keys`: identity-compared
+  keys from the run's own :class:`~repro.pointer.keys.KeyTable` make the
+  dict probes this loop lives on cheap;
 * **dense bitset points-to sets** — a points-to set is one Python int
   over the dense instance-key ID space: union is ``|``, the new-facts
   diff is ``delta & ~current``, and a whole-set propagation is a single
@@ -59,9 +60,8 @@ from ..ir import (ARRAY_CONTENTS, ArrayLoad, ArrayStore, Assign, Call, Cast,
                   Phi, Program, Return, Select, StaticLoad, StaticStore,
                   Store)
 from .contexts import Context, EMPTY
-from .keys import (AllocSite, FieldKey, InstanceKey, LocalKey, PointerKey,
-                   ReturnKey, StaticFieldKey, decode_instance_bits,
-                   encode_instance_keys)
+from .keys import (FieldKey, InstanceKey, KeyTable, LocalKey, PointerKey,
+                   StaticFieldKey, encode_instance_keys)
 from .ordering import ChaoticOrder, OrderingPolicy
 from .policy import ContextPolicy
 from .scc import UnionFind, copy_cycles
@@ -79,6 +79,10 @@ class PointerAnalysis:
     back into :class:`InstanceKey` sets (:meth:`iter_pts_bits` exposes
     the raw representation for bitset-aware consumers such as
     :class:`~repro.pointer.heapgraph.HeapGraph`).
+
+    ``keys`` is the run's :class:`~repro.pointer.keys.KeyTable`: every
+    key and context of the solution comes from it, and a bitset decodes
+    through its :meth:`~repro.pointer.keys.KeyTable.decode`.
     """
 
     def __init__(self, program: Program,
@@ -91,17 +95,21 @@ class PointerAnalysis:
                  resilience: Optional[object] = None) -> None:
         self.program = program
         self.hierarchy = ClassHierarchy(program)
-        self.policy = policy or ContextPolicy()
+        self.keys = KeyTable()
+        # The policy decides over this run's table, whatever table the
+        # caller's policy came with.
+        self.policy = ContextPolicy(
+            policy.config if policy is not None else None, ctx=self.keys)
         self.natives = natives
-        # Note: ordering policies define __bool__ as "has pending
-        # nodes", so an explicit None check is required here.
-        self.order = ChaoticOrder() if order is None else order
-        self.order.attach(self)
         self.budget = budget
         # Whitelisted benign classes (paper §4.2.1): calls into them are
         # never bound, so they get no call-graph nodes or constraints.
         self.excluded_classes = excluded_classes or set()
         self.call_graph = CallGraph()
+        # Note: ordering policies define __bool__ as "has pending
+        # nodes", so an explicit None check is required here.
+        self.order = ChaoticOrder() if order is None else order
+        self.order.attach(program.lookup_method, self.call_graph)
         self.truncated = False          # budget cut the analysis short
         # Resilience (repro.resilience): the solver checks the
         # ``pointer.solve`` seam once per node; a tripped deadline
@@ -217,7 +225,7 @@ class PointerAnalysis:
         never leaks to callers.
         """
         bits = self.pts.get(self._scc.find(key), 0)
-        return frozenset(decode_instance_bits(bits)) if bits \
+        return frozenset(self.keys.decode(bits)) if bits \
             else _EMPTY_FROZEN
 
     def points_to_bits(self, key: PointerKey) -> int:
@@ -229,29 +237,27 @@ class PointerAnalysis:
                       context: Optional[Context] = None) -> Set[InstanceKey]:
         """Points-to set of a local, unioned over contexts if none given."""
         if context is not None:
-            return set(self.points_to(LocalKey(method, context, var)))
-        bits = 0
-        pts_get = self.pts.get
-        find = self._scc.find
-        for node in self.call_graph.nodes_of_method(method):
-            bits |= pts_get(find(LocalKey(method, node.context, var)), 0)
-        return set(decode_instance_bits(bits))
+            return set(self.points_to(self.keys.local(method, context,
+                                                      var)))
+        return set(self.keys.decode(self.points_to_var_bits(method, var)))
 
     def points_to_var_bits(self, method: str, var: str) -> int:
         """Context-collapsed points-to set of a local as a bitset."""
         bits = 0
         pts_get = self.pts.get
         find = self._scc.find
+        local = self.keys.local
         for node in self.call_graph.nodes_of_method(method):
-            bits |= pts_get(find(LocalKey(method, node.context, var)), 0)
+            bits |= pts_get(find(local(method, node.context, var)), 0)
         return bits
 
     def iter_pts(self) -> Iterator[Tuple[PointerKey, Set[InstanceKey]]]:
         """(key, points-to set) for every key the solver has seen,
         including keys merged away by cycle collapsing (they yield their
         representative's set).  Sets are freshly decoded copies."""
+        decode = self.keys.decode
         for key, bits in self.iter_pts_bits():
-            yield key, set(decode_instance_bits(bits))
+            yield key, set(decode(bits))
 
     def iter_pts_bits(self) -> Iterator[Tuple[PointerKey, int]]:
         """(key, bitset) for every key the solver has seen — the
@@ -268,20 +274,20 @@ class PointerAnalysis:
         return self._scc.find(key)
 
     # Key factories: native-method summaries build keys through these so
-    # every solver's tables only ever hold its own key family (the seed
-    # solver kept as a test oracle overrides them with its dataclass
-    # keys).
+    # every solver's tables only ever hold its own keys (the seed solver
+    # kept as a test oracle overrides them with its dataclass keys).
 
     def make_alloc(self, method: str, iid: int,
                    class_name: str) -> InstanceKey:
-        return InstanceKey(AllocSite(method, iid, class_name))
+        keys = self.keys
+        return keys.instance_key(keys.alloc_site(method, iid, class_name))
 
     def make_local(self, method: str, context: Context,
                    var: str) -> LocalKey:
-        return LocalKey(method, context, var)
+        return self.keys.local(method, context, var)
 
     def make_field(self, instance: InstanceKey, fld: str) -> FieldKey:
-        return FieldKey(instance, fld)
+        return self.keys.field(instance, fld)
 
     # --------------------------------------------------------------- helpers
 
@@ -353,19 +359,19 @@ class PointerAnalysis:
         # Decoding yields a fresh list, so dispatching may grow the
         # live set without invalidating this snapshot (coalesced facts
         # are delivered later through the watch we just registered).
-        for ikey in decode_instance_bits(self.pts.get(key, 0)):
+        for ikey in self.keys.decode(self.pts.get(key, 0)):
             self._dispatch(node, call, ikey)
 
     # ------------------------------------------------------ constraint adding
 
     def _local(self, node: CGNode, var: str) -> LocalKey:
-        return LocalKey(node.method, node.context, var)
+        return self.keys.local(node.method, node.context, var)
 
     def _add_constraints(self, node: CGNode) -> None:
         method = self.program.lookup_method(node.method)
         if method is None or method.is_native:
             return
-        ret_key = ReturnKey(node.method, node.context)
+        ret_key = self.keys.ret(node.method, node.context)
         for instr in method.instructions():
             if isinstance(instr, New):
                 self._alloc(node, method, instr.iid, instr.class_name,
@@ -426,26 +432,30 @@ class PointerAnalysis:
     def _alloc(self, node: CGNode, method: Method, iid: int,
                class_name: str, lhs: str) -> None:
         heap_ctx = self.policy.heap_context(method, node.context)
-        ikey = InstanceKey(AllocSite(node.method, iid, class_name), heap_ctx)
+        keys = self.keys
+        ikey = keys.instance_key(keys.alloc_site(node.method, iid,
+                                                 class_name), heap_ctx)
         self.add_pts_bits(self._local(node, lhs), ikey.bit)
 
     def _static_key(self, class_name: str, fld: str) -> StaticFieldKey:
         owner = self.hierarchy.resolve_field_owner(class_name, fld)
-        return StaticFieldKey(owner or class_name, fld)
+        return self.keys.static_field(owner or class_name, fld)
 
     def _watch_load(self, base: PointerKey, fld: str,
                     dst: PointerKey) -> None:
         base = self._scc.find(base)
         self._load_watch.setdefault(base, []).append((fld, dst))
-        for ikey in decode_instance_bits(self.pts.get(base, 0)):
-            self.add_copy_edge(FieldKey(ikey, fld), dst)
+        keys = self.keys
+        for ikey in keys.decode(self.pts.get(base, 0)):
+            self.add_copy_edge(keys.field(ikey, fld), dst)
 
     def _watch_store(self, base: PointerKey, fld: str,
                      src: PointerKey) -> None:
         base = self._scc.find(base)
         self._store_watch.setdefault(base, []).append((fld, src))
-        for ikey in decode_instance_bits(self.pts.get(base, 0)):
-            self.add_copy_edge(src, FieldKey(ikey, fld))
+        keys = self.keys
+        for ikey in keys.decode(self.pts.get(base, 0)):
+            self.add_copy_edge(src, keys.field(ikey, fld))
 
     def _add_call(self, node: CGNode, call: Call) -> None:
         if call.kind == "static":
@@ -495,14 +505,15 @@ class PointerAnalysis:
             return
         if self.call_graph.add_edge(node, call.iid, target):
             self.order.on_edge(node, target)
+        keys = self.keys
         if receiver is not None and not callee.is_static:
-            self.add_pts_bits(LocalKey(callee.qname, context, "this"),
+            self.add_pts_bits(keys.local(callee.qname, context, "this"),
                               receiver.bit)
         for actual, param in zip(call.args, callee.param_names()):
             self.add_copy_edge(self._local(node, actual),
-                               LocalKey(callee.qname, context, param))
+                               keys.local(callee.qname, context, param))
         if call.lhs:
-            self.add_copy_edge(ReturnKey(callee.qname, context),
+            self.add_copy_edge(keys.ret(callee.qname, context),
                                self._local(node, call.lhs))
 
     # ------------------------------------------------------ constraint solving
@@ -529,7 +540,8 @@ class PointerAnalysis:
         add_pts_bits = self.add_pts_bits
         add_copy_edge = self.add_copy_edge
         checked = self._lcd_checked
-        decode = decode_instance_bits
+        decode = self.keys.decode
+        field = self.keys.field
         while worklist:
             key = worklist.popleft()
             delta = pending.pop(key, None)
@@ -561,14 +573,14 @@ class PointerAnalysis:
                 delta_keys = decode(delta)
                 for fld, dst in watches:
                     for ikey in delta_keys:
-                        add_copy_edge(FieldKey(ikey, fld), dst)
+                        add_copy_edge(field(ikey, fld), dst)
             watches = store_watch.get(key)
             if watches:
                 if delta_keys is None:
                     delta_keys = decode(delta)
                 for fld, src in watches:
                     for ikey in delta_keys:
-                        add_copy_edge(src, FieldKey(ikey, fld))
+                        add_copy_edge(src, field(ikey, fld))
             watches = call_watch.get(key)
             if watches:
                 if delta_keys is None:

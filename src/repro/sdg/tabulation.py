@@ -173,12 +173,15 @@ class Tabulator:
     """The region-based RHS engine."""
 
     def __init__(self, sdg: NoHeapSDG, adapter: RuleAdapter,
-                 origin_handler: Callable[[str, Hit], None],
+                 origin_handler: Callable[["Tabulator", str, Hit], None],
                  meter: Optional[StateMeter] = None,
                  skip_thread_edges: bool = False,
                  resilience: Optional[object] = None) -> None:
         self.sdg = sdg
         self.adapter = adapter
+        # Called as ``origin_handler(tabulator, origin_id, hit)``: the
+        # handler gets the tabulator per call instead of capturing it,
+        # so the two never form a reference cycle.
         self.origin_handler = origin_handler
         self.meter = meter
         self.skip_thread_edges = skip_thread_edges
@@ -270,7 +273,7 @@ class Tabulator:
                     self._add_fact(caller_region, site.call.lhs,
                                    hit.meta.extend())
         else:
-            self.origin_handler(region.entry, hit)
+            self.origin_handler(self, region.entry, hit)
 
     def _replay(self, region: RegionKey, hit: Hit,
                 incoming: Incoming) -> None:

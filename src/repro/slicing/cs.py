@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..bounds import StateMeter
 from ..callgraph.graph import CallGraph
 from ..ir import Program
-from ..pointer.keys import decode_instance_bits
 from ..sdg.nodes import Fact, StmtRef
 from ..sdg.noheap import ANY_FIELD, CallSite, LocalEdge, NoHeapSDG
 from ..sdg.tabulation import (Hit, Meta, RuleAdapter, Tabulator,
@@ -70,8 +69,9 @@ class CSExtendedSDG(NoHeapSDG):
 
     def _channels_for(self, method: str, base: str, fld: str) -> List[str]:
         """One channel per abstract object the base may point to."""
-        return [f"@f:{fld}:{ikey}" for ikey in decode_instance_bits(
-            self.analysis.points_to_var_bits(method, base))]
+        analysis = self.analysis
+        return [f"@f:{fld}:{ikey}" for ikey in analysis.keys.decode(
+            analysis.points_to_var_bits(method, base))]
 
     def _build_channels(self) -> None:
         self._gen: Dict[str, Set[str]] = {}
@@ -167,8 +167,9 @@ class CSSlicer(Slicer):
         carriers = self.make_carrier_index(adapter)
         collector = FlowCollector(rule, self.budget)
         sources: Dict[str, StmtRef] = {}
+        decode = self.direct.analysis.keys.decode
 
-        def on_hit(origin_id: str, hit: Hit) -> None:
+        def on_hit(tab: Tabulator, origin_id: str, hit: Hit) -> None:
             source = sources[origin_id]
             if hit.kind == "sink":
                 collector.add(source, hit.stmt, hit.sink_display,
@@ -199,8 +200,7 @@ class CSSlicer(Slicer):
                 # A by-reference source taints the object's whole state:
                 # in CS terms, every heap channel of the argument's
                 # abstract objects is tainted at the call's method.
-                for ikey in decode_instance_bits(
-                        self.direct.points_to_bits(method, arg)):
+                for ikey in decode(self.direct.points_to_bits(method, arg)):
                     for fld in self.sdg.loads_by_field:
                         if fld == ANY_FIELD or fld.startswith("static:"):
                             continue

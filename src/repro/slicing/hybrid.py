@@ -49,7 +49,7 @@ class HybridSlicer(Slicer):
         seeded_loads: Set[Tuple[str, StmtRef]] = set()
         self.heap_transitions = 0
 
-        def on_hit(origin_id: str, hit: Hit) -> None:
+        def on_hit(tab: Tabulator, origin_id: str, hit: Hit) -> None:
             source = sources[origin_id]
             if hit.kind == "sink":
                 collector.add(source, hit.stmt, hit.sink_display,

@@ -37,40 +37,49 @@ class SSAInfo:
     uses: Dict[Var, List[Instruction]] = field(default_factory=dict)
 
 
-def to_ssa(method: Method) -> SSAInfo:
-    """Convert ``method`` to SSA form in place and return def-use info."""
-    info = SSAInfo()
-    if method.is_native or not method.blocks:
-        return info
-    blocks = method.blocks
-    def_site, uses = info.def_site, info.uses
-    entry_defined = set(method.param_names())
-    if not method.is_static:
-        entry_defined.add("this")
-    counters: Dict[Var, int] = {}
-    # Walked blocks -> var -> the version live at the block's end (for
-    # the block being walked: at the current instruction).
-    live: Dict[int, Dict[Var, Var]] = {}
-    # Unsealed blocks -> their phis still waiting for operands.
-    unsealed: Dict[int, List[Tuple[Var, Phi]]] = {}
-    phis: Dict[int, List[Phi]] = {}
+class _Walk:
+    """The state of one :func:`to_ssa` walk.
 
-    def fresh(var: Var) -> Var:
+    Kept on an object rather than in closures: ``read`` and ``fill`` call
+    each other, and closures doing so would form a reference cycle that
+    only the cyclic garbage collector frees.
+    """
+
+    __slots__ = ("blocks", "def_site", "uses", "entry_defined", "counters",
+                 "live", "unsealed", "phis")
+
+    def __init__(self, method: Method, info: SSAInfo) -> None:
+        self.blocks = method.blocks
+        self.def_site, self.uses = info.def_site, info.uses
+        self.entry_defined = set(method.param_names())
+        if not method.is_static:
+            self.entry_defined.add("this")
+        self.counters: Dict[Var, int] = {}
+        # Walked blocks -> var -> the version live at the block's end
+        # (for the block being walked: at the current instruction).
+        self.live: Dict[int, Dict[Var, Var]] = {}
+        # Unsealed blocks -> their phis still waiting for operands.
+        self.unsealed: Dict[int, List[Tuple[Var, Phi]]] = {}
+        self.phis: Dict[int, List[Phi]] = {}
+
+    def fresh(self, var: Var) -> Var:
+        counters = self.counters
         counters[var] = version = counters.get(var, 0) + 1
         return f"{var}.{version}"
 
-    def new_phi(var: Var, bid: int) -> Phi:
-        phi = Phi(fresh(var))
-        def_site[phi.lhs] = phi
-        phis.setdefault(bid, []).append(phi)
+    def new_phi(self, var: Var, bid: int) -> Phi:
+        phi = Phi(self.fresh(var))
+        self.def_site[phi.lhs] = phi
+        self.phis.setdefault(bid, []).append(phi)
         return phi
 
-    def fill(phi: Phi, var: Var, bid: int) -> None:
-        for pred in blocks[bid].preds:
-            value = phi.operands[pred] = read(var, pred)
+    def fill(self, phi: Phi, var: Var, bid: int) -> None:
+        uses = self.uses
+        for pred in self.blocks[bid].preds:
+            value = phi.operands[pred] = self.read(var, pred)
             uses.setdefault(value, []).append(phi)
 
-    def read(var: Var, bid: int) -> Var:
+    def read(self, var: Var, bid: int) -> Var:
         """The version of ``var`` live at the end of walked block ``bid``.
 
         A block without one takes its single predecessor's, or gets a
@@ -78,6 +87,7 @@ def to_ssa(method: Method) -> SSAInfo:
         joins stay off the Python stack; it only meets walked blocks,
         because a sealed block's predecessors have all been walked.
         """
+        live, blocks, unsealed = self.live, self.blocks, self.unsealed
         value = live[bid].get(var)
         if value is not None:
             return value
@@ -90,7 +100,8 @@ def to_ssa(method: Method) -> SSAInfo:
                 continue
             preds = blocks[cur].preds
             if not preds:
-                here[var] = var if var in entry_defined else f"{var}.0"
+                here[var] = var if var in self.entry_defined \
+                    else f"{var}.0"
             elif len(preds) == 1 and cur not in unsealed:
                 value = live[preds[0]].get(var)
                 if value is None:
@@ -98,7 +109,7 @@ def to_ssa(method: Method) -> SSAInfo:
                 else:
                     here[var] = value
             else:
-                phi = new_phi(var, cur)
+                phi = self.new_phi(var, cur)
                 here[var] = phi.lhs
                 if cur in unsealed:
                     unsealed[cur].append((var, phi))
@@ -106,8 +117,20 @@ def to_ssa(method: Method) -> SSAInfo:
                     joins.append((phi, cur))
                     stack += preds
         for phi, cur in joins:
-            fill(phi, var, cur)
+            self.fill(phi, var, cur)
         return live[bid][var]
+
+
+def to_ssa(method: Method) -> SSAInfo:
+    """Convert ``method`` to SSA form in place and return def-use info."""
+    info = SSAInfo()
+    if method.is_native or not method.blocks:
+        return info
+    blocks = method.blocks
+    def_site, uses = info.def_site, info.uses
+    walk = _Walk(method, info)
+    live, unsealed, phis = walk.live, walk.unsealed, walk.phis
+    read, fresh = walk.read, walk.fresh
 
     for bid in reverse_postorder(method):
         block = blocks[bid]
@@ -133,7 +156,7 @@ def to_ssa(method: Method) -> SSAInfo:
                     all(pred in live for pred in blocks[succ].preds):
                 del unsealed[succ]
                 for var, phi in waiting:
-                    fill(phi, var, succ)
+                    walk.fill(phi, var, succ)
 
     # Remove the phis whose operands, besides the phi itself, are one
     # value; their users (and any phi among them) move to that value.

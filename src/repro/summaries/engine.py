@@ -138,13 +138,27 @@ class SummaryTabulator(Tabulator):
     loop lifts the installed hits across the new call edge through the
     ordinary ``_replay`` machinery — meta composition, crossing
     fallback, and store-base translation all shared with live regions.
+    A completed :meth:`run` harvests the explored regions into the
+    backend.
     """
 
-    def __init__(self, *args, provider: Optional[Provider] = None,
+    def __init__(self, *args, backend: Optional["SummaryBackend"] = None,
                  **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.provider = provider
+        self.backend = backend
+        self.provider: Optional[Provider] = None
+        if backend is not None:
+            self.provider = backend.provider_for(self.sdg,
+                                                 self.adapter.rule)
         self.sealed_regions: set = set()
+
+    def run(self) -> None:
+        super().run()
+        # Harvest only after a *completed* traversal: a budget or
+        # deadline trip unwinds past this point, and a half-explored
+        # region must never be cached as a summary.
+        if self.backend is not None:
+            self.backend.harvest(self.sdg, self.adapter.rule, self)
 
     def stitch(self, callee_region: RegionKey) -> None:
         """Seal one balanced region from the cache, if it is available
@@ -176,9 +190,9 @@ class SummaryTabulator(Tabulator):
 class SummarySlicer(HybridSlicer):
     """Hybrid slicing with cache-backed balanced regions.
 
-    Identical traversal; the only differences are the tabulator factory
-    (sealing) and a post-rule harvest.  Without a backend it *is* the
-    hybrid slicer.
+    Identical traversal; the only difference is the tabulator factory
+    (sealing, and a harvest once a rule's traversal completes).  Without
+    a backend it *is* the hybrid slicer.
     """
 
     name = "summary"
@@ -187,25 +201,11 @@ class SummarySlicer(HybridSlicer):
                  **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.backend = backend
-        self._tab: Optional[SummaryTabulator] = None
 
     def _make_tabulator(self, adapter: RuleAdapter, on_hit) -> Tabulator:
-        provider = None
-        if self.backend is not None:
-            provider = self.backend.provider_for(self.sdg, adapter.rule)
-        self._tab = SummaryTabulator(
+        return SummaryTabulator(
             self.sdg, adapter, on_hit, meter=self.meter,
-            resilience=self.resilience, provider=provider)
-        return self._tab
-
-    def slice_rule(self, rule):
-        flows = super().slice_rule(rule)
-        # Harvest only after a *completed* traversal: a budget or
-        # deadline trip unwinds past this point, and a half-explored
-        # region must never be cached as a summary.
-        if self.backend is not None and self._tab is not None:
-            self.backend.harvest(self.sdg, rule, self._tab)
-        return flows
+            resilience=self.resilience, backend=self.backend)
 
 
 # -- the backend --------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..pointer.heapgraph import HeapGraph
-from ..pointer.keys import InstanceKey, decode_instance_bits
+from ..pointer.keys import InstanceKey
 from ..sdg.hsdg import DirectEdges
 from ..sdg.noheap import CallSite, NoHeapSDG, StoreSite
 from ..sdg.tabulation import RuleAdapter
@@ -36,6 +36,9 @@ class CarrierIndex:
         self.heap_graph = heap_graph
         self.adapter = adapter
         self.max_nested_depth = max_nested_depth
+        # Bitsets decode through the key table of the analysis that
+        # made them.
+        self._decode = direct.analysis.keys.decode
         self._by_ikey: Dict[InstanceKey, List[Tuple[CallSite, str]]] = {}
         self._build()
 
@@ -54,7 +57,7 @@ class CarrierIndex:
                     continue
                 reachable = self.heap_graph.reachable_bits(
                     roots, self.max_nested_depth)
-                for ikey in decode_instance_bits(reachable):
+                for ikey in self._decode(reachable):
                     self._by_ikey.setdefault(ikey, []).append(
                         (site, sink_display))
 
@@ -83,7 +86,7 @@ class CarrierIndex:
         ascending instance-key order."""
         out: List[Tuple[CallSite, str]] = []
         seen: Set[Tuple[Tuple[str, int], str]] = set()
-        for ikey in decode_instance_bits(base_bits):
+        for ikey in self._decode(base_bits):
             for site, display in self._by_ikey.get(ikey, ()):
                 token = (site.key, display)
                 if token not in seen:

@@ -12,11 +12,12 @@ families (the ``__str__`` formats match by construction).
 
 Two seams of the product let this oracle share its decisions while
 keeping its own key family: ``ContextPolicy(ctx=)`` takes this module as
-the context namespace, and the native-method summaries build keys
-through the solver's ``make_alloc``/``make_local``/``make_field``
-factories.  The classes below are the seed's, unchanged apart from their
-imports; nothing under ``src/`` imports this module.  Do not optimise or
-dedup it; that is the point of it.
+the context namespace (where the kernel passes its run's ``KeyTable``),
+and the native-method summaries build keys through the solver's
+``make_alloc``/``make_local``/``make_field`` factories.  The classes
+below are the seed's, unchanged apart from their imports; nothing under
+``src/`` imports this module.  Do not optimise or dedup it; that is the
+point of it.
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ def truncate(context: Context, limit: int) -> Context:
         inner = truncate(receiver.context, limit - 1)  # type: ignore
         return ObjContext(receiver.with_context(inner))  # type: ignore
     return EMPTY
+
+
+# ContextPolicy builds contexts through these names.
+obj_context = ObjContext
+call_site_context = CallSiteContext
 
 
 # -- keys ---------------------------------------------------------------------
@@ -197,15 +203,15 @@ class SeedPointerAnalysis:
         base_policy = policy or ContextPolicy()
         self.policy = ContextPolicy(base_policy.config, ctx=seedkeys)
         self.natives = natives
-        # Note: ordering policies define __bool__ as "has pending
-        # nodes", so an explicit None check is required here.
-        self.order = ChaoticOrder() if order is None else order
-        self.order.attach(self)
         self.budget = budget
         # Whitelisted benign classes (paper §4.2.1): calls into them are
         # never bound, so they get no call-graph nodes or constraints.
         self.excluded_classes = excluded_classes or set()
         self.call_graph = CallGraph()
+        # Note: ordering policies define __bool__ as "has pending
+        # nodes", so an explicit None check is required here.
+        self.order = ChaoticOrder() if order is None else order
+        self.order.attach(program.lookup_method, self.call_graph)
         self.truncated = False          # budget cut the analysis short
 
         self.pts: Dict[PointerKey, Set[InstanceKey]] = {}

@@ -1,12 +1,12 @@
 """Context and key representation tests."""
 
-from repro.pointer import (AllocSite, CallSiteContext, EMPTY, FieldKey,
-                           InstanceKey, LocalKey, ObjContext, ReturnKey,
-                           StaticFieldKey, truncate)
+from repro.pointer import EMPTY, KeyTable
+
+TABLE = KeyTable()
 
 
 def ikey(name="C", ctx=EMPTY, iid=0):
-    return InstanceKey(AllocSite("M.m/0", iid, name), ctx)
+    return TABLE.instance_key(TABLE.alloc_site("M.m/0", iid, name), ctx)
 
 
 def test_empty_context_depth():
@@ -14,37 +14,37 @@ def test_empty_context_depth():
 
 
 def test_call_site_context():
-    ctx = CallSiteContext("C.m/0", 5)
+    ctx = TABLE.call_site_context("C.m/0", 5)
     assert ctx.depth() == 1
-    assert ctx == CallSiteContext("C.m/0", 5)
-    assert ctx != CallSiteContext("C.m/0", 6)
+    assert ctx == TABLE.call_site_context("C.m/0", 5)
+    assert ctx != TABLE.call_site_context("C.m/0", 6)
 
 
 def test_obj_context_depth_nests():
     inner = ikey("A")
-    mid = ikey("B", ObjContext(inner))
-    outer = ObjContext(mid)
+    mid = ikey("B", TABLE.obj_context(inner))
+    outer = TABLE.obj_context(mid)
     assert outer.depth() == 2
 
 
 def test_truncate_keeps_shallow_contexts():
-    ctx = ObjContext(ikey())
-    assert truncate(ctx, 3) is ctx
+    ctx = TABLE.obj_context(ikey())
+    assert TABLE.truncate(ctx, 3) is ctx
 
 
 def test_truncate_collapses_deep_contexts():
     ctx = EMPTY
     for i in range(10):
-        ctx = ObjContext(ikey("C", ctx, i))
-    out = truncate(ctx, 3)
+        ctx = TABLE.obj_context(ikey("C", ctx, i))
+    out = TABLE.truncate(ctx, 3)
     assert out.depth() <= 3
 
 
 def test_instance_key_identity():
     a = ikey("C")
     b = ikey("C")
-    assert a == b
-    assert a.with_context(ObjContext(ikey("D"))) != a
+    assert a is b
+    assert ikey("C", TABLE.obj_context(ikey("D"))) != a
 
 
 def test_instance_key_class_name():
@@ -53,16 +53,16 @@ def test_instance_key_class_name():
 
 def test_pointer_keys_are_hashable_and_distinct():
     keys = {
-        LocalKey("C.m/0", EMPTY, "x"),
-        LocalKey("C.m/0", EMPTY, "y"),
-        FieldKey(ikey(), "f"),
-        StaticFieldKey("C", "g"),
-        ReturnKey("C.m/0", EMPTY),
+        TABLE.local("C.m/0", EMPTY, "x"),
+        TABLE.local("C.m/0", EMPTY, "y"),
+        TABLE.field(ikey(), "f"),
+        TABLE.static_field("C", "g"),
+        TABLE.ret("C.m/0", EMPTY),
     }
     assert len(keys) == 5
 
 
 def test_local_keys_distinguish_contexts():
-    c1 = CallSiteContext("A.a/0", 1)
-    c2 = CallSiteContext("A.a/0", 2)
-    assert LocalKey("C.m/0", c1, "x") != LocalKey("C.m/0", c2, "x")
+    c1 = TABLE.call_site_context("A.a/0", 1)
+    c2 = TABLE.call_site_context("A.a/0", 2)
+    assert TABLE.local("C.m/0", c1, "x") != TABLE.local("C.m/0", c2, "x")

@@ -1,9 +1,12 @@
 """Context-policy tests (paper §3.1)."""
 
 from repro.ir import Call, Method, Param, STRING
-from repro.pointer import (CallSiteContext, ContextPolicy, EMPTY,
+from repro.pointer import (CallSiteContext, ContextPolicy, EMPTY, KeyTable,
                            ObjContext, PolicyConfig)
-from repro.pointer.keys import AllocSite, InstanceKey
+
+# The policies below decide over this table, so the receivers and the
+# contexts they return share one key space.
+TABLE = KeyTable()
 
 
 def make_method(cls, name, static=False):
@@ -17,7 +20,7 @@ def make_call(iid=7):
 
 
 def receiver(cls="C"):
-    return InstanceKey(AllocSite("Main.main/0", 0, cls))
+    return TABLE.instance_key(TABLE.alloc_site("Main.main/0", 0, cls))
 
 
 def make_policy(**kwargs):
@@ -26,7 +29,7 @@ def make_policy(**kwargs):
                           taint_api_methods={"Req.getParameter"})
     for key, value in kwargs.items():
         setattr(config, key, value)
-    return ContextPolicy(config)
+    return ContextPolicy(config, ctx=TABLE)
 
 
 def test_default_instance_method_gets_object_context():
@@ -49,7 +52,7 @@ def test_taint_api_gets_call_site_context():
     ctx = policy.callee_context("Main.main/0", EMPTY, make_call(9),
                                 make_method("Req", "getParameter"),
                                 receiver("Req"))
-    assert ctx == CallSiteContext("Main.main/0", 9)
+    assert ctx == TABLE.call_site_context("Main.main/0", 9)
 
 
 def test_factory_by_registry():
@@ -78,7 +81,7 @@ def test_collection_gets_deep_object_context():
 
 
 def test_insensitive_config_disables_everything():
-    policy = ContextPolicy(PolicyConfig.insensitive())
+    policy = ContextPolicy(PolicyConfig.insensitive(), ctx=TABLE)
     assert policy.callee_context(
         "Main.main/0", EMPTY, make_call(),
         make_method("C", "m"), receiver()) is EMPTY
@@ -89,18 +92,18 @@ def test_insensitive_config_disables_everything():
 
 def test_heap_context_for_collections_clones_per_instance():
     policy = make_policy()
-    ctx = ObjContext(receiver("HashMap"))
+    ctx = TABLE.obj_context(receiver("HashMap"))
     heap = policy.heap_context(make_method("HashMap", "put"), ctx)
     assert heap == ctx
 
 
 def test_heap_context_for_ordinary_methods_is_empty():
     policy = make_policy()
-    ctx = ObjContext(receiver())
+    ctx = TABLE.obj_context(receiver())
     assert policy.heap_context(make_method("C", "m"), ctx) is EMPTY
 
 
 def test_heap_context_for_factory_contexts_is_the_call_site():
     policy = make_policy()
-    ctx = CallSiteContext("Main.main/0", 3)
+    ctx = TABLE.call_site_context("Main.main/0", 3)
     assert policy.heap_context(make_method("F", "build"), ctx) == ctx

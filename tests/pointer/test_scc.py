@@ -5,7 +5,6 @@ from repro.ir import validate_program
 from repro.lang import lower_source
 from repro.pointer import (ContextPolicy, PointerAnalysis, UnionFind,
                            copy_cycles)
-from repro.pointer.keys import LocalKey, decode_instance_bits
 from repro.pointer.contexts import EMPTY
 
 LIB = """
@@ -157,7 +156,7 @@ def test_collapse_preserves_points_to_of_all_locals():
 
 def test_points_to_returns_immutable_copy():
     pa = analyze(CYCLE_SOURCE, lcd_batch=1)
-    key = LocalKey("Main.main/0", EMPTY, "a.1")
+    key = pa.keys.local("Main.main/0", EMPTY, "a.1")
     view = pa.points_to(key)
     assert isinstance(view, frozenset)
     assert view
@@ -165,7 +164,7 @@ def test_points_to_returns_immutable_copy():
     # whole collapsed cycle), and the bitset itself must not leak.
     internal = pa.pts.get(pa.representative(key))
     assert isinstance(internal, int)
-    assert view == frozenset(decode_instance_bits(internal))
+    assert view == frozenset(pa.keys.decode(internal))
     assert pa.points_to_bits(key) == internal
 
 

@@ -302,10 +302,10 @@ class Main {
   }
 }""")
     # simulate: add a Select-like union via copy edges
-    from repro.pointer import LocalKey, EMPTY
-    ka = LocalKey("Main.main/0", EMPTY, "a.1")
-    kb = LocalKey("Main.main/0", EMPTY, "b.1")
-    kc = LocalKey("Main.main/0", EMPTY, "c")
+    from repro.pointer import EMPTY
+    ka = pa.keys.local("Main.main/0", EMPTY, "a.1")
+    kb = pa.keys.local("Main.main/0", EMPTY, "b.1")
+    kc = pa.keys.local("Main.main/0", EMPTY, "c")
     pa.add_copy_edge(ka, kc)
     pa.add_copy_edge(kb, kc)
     pa._solve_constraints()

@@ -32,8 +32,7 @@ from repro.core import DEFAULT_NESTED_DEPTH
 from repro.modeling import (COLLECTION_CLASSES, FACTORY_METHODS,
                             default_natives, prepare)
 from repro.pointer import (ChaoticOrder, ContextPolicy, FieldKey,
-                           PointerAnalysis, PolicyConfig,
-                           decode_instance_bits)
+                           PointerAnalysis, PolicyConfig)
 from repro.pointer.heapgraph import HeapGraph
 from repro.sdg.hsdg import DirectEdges
 from repro.sdg.noheap import ANY_FIELD
@@ -206,10 +205,6 @@ def solve(sources, descriptor):
     return prepared.program, analysis
 
 
-def decoded(bits):
-    return set(decode_instance_bits(bits))
-
-
 def carrier_tokens(sinks):
     return sorted((site.key, display) for site, display in sinks)
 
@@ -230,6 +225,9 @@ def test_bitset_readers_match_set_references(sources, descriptor):
     heap = HeapGraph(analysis)
     ref_direct = ReferenceDirectEdges(sdg, analysis)
     ref_heap = ReferenceHeapGraph(analysis)
+
+    def decoded(bits):
+        return set(analysis.keys.decode(bits))
 
     def same_objects(method, var):
         assert decoded(direct.points_to_bits(method, var)) == \

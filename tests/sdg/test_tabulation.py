@@ -26,7 +26,7 @@ def tabulate(source, rule=None, seeds=None):
     rule = rule or make_rule()
     hits = []
 
-    def on_hit(origin, hit):
+    def on_hit(tab, origin, hit):
         hits.append((origin, hit))
 
     tab = Tabulator(sdg, RuleAdapter(sdg, rule), on_hit)
