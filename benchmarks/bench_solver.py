@@ -1,9 +1,10 @@
 """Solver-kernel benchmark: times the pointer kernel and the taint sweep.
 
-Times :class:`repro.pointer.PointerAnalysis` (online cycle elimination,
-interned pointer keys, coalescing worklist, bitset points-to sets — see
+Times :class:`repro.pointer.PointerAnalysis` (interned pointer keys,
+coalescing worklist, bitset points-to sets — see
 ``docs/performance.md``) over three suites, and the serial taint sweep
-over securibench.  The seed solver it replaced is a test oracle only
+over securibench.  The ``cyclic`` suite's copy cycles keep the
+committed ledger baseline's counters.  The seed solver it replaced is a test oracle only
 (``tests/pointer/reference_solver.py``); the tier-1 differential tests,
 not this script, check that both reach the same fixpoint.
 
@@ -53,8 +54,7 @@ from repro.taint import TaintEngine, default_rules
 
 REPEATS = 5
 # Kernel counters summed per suite into the artifact.
-STATS = ("edges", "propagations", "cycles_collapsed", "keys_merged",
-         "coalesced_deltas", "scc_runs")
+STATS = ("edges", "propagations", "coalesced_deltas")
 # Top-level artifact keys other benchmarks own (summary_cache.py,
 # confirmation.py merge their rows in); a rewrite keeps them.
 MERGED_KEYS = ("confirmation", "summary_cache")
@@ -204,12 +204,11 @@ def ledger_record(payload: Dict, quick: bool, repeats: int,
 
 def format_summary(payload: Dict) -> str:
     lines = [f"{'suite':<12}{'programs':>9}{'wall(s)':>9}"
-             f"{'propagations':>14}{'edges':>8}{'merged':>8}"]
+             f"{'propagations':>14}{'edges':>8}"]
     for name, m in payload["suites"].items():
         lines.append(
             f"{name:<12}{m['programs']:>9}{m['wall_s']:>9.3f}"
-            f"{m['propagations']:>14}{m['edges']:>8}"
-            f"{m['keys_merged']:>8}")
+            f"{m['propagations']:>14}{m['edges']:>8}")
     sweep = payload.get("taint_sweep")
     if sweep:
         lines.append(

@@ -8,8 +8,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..core import TAJ, TAJConfig
-from ..core.results import TAJResult
-from ..modeling import PreparedProgram, prepare
+from ..modeling import prepare
 from .generator import GeneratedApp
 from .oracle import Score, aggregate, score_run
 from .suite import FIGURE4_APPS, benign_lib_classes, generate_suite
@@ -27,7 +26,7 @@ class RunRecord:
     cg_nodes: int
     score: Score
     # Pointer-solver kernel counters and phase times for this run
-    # (propagations, cycles_collapsed, time_constraint_solving, ...).
+    # (propagations, edges, time_constraint_solving, ...).
     solver_stats: Dict[str, float] = field(default_factory=dict)
     # Metrics-registry snapshot (counters/gauges/timers/histograms) for
     # this run — the full observability picture, not just the kernel.

@@ -368,9 +368,9 @@ def cyclic_stress(n_ring: int = 12, n_feeds: int = 30,
     ``n_ring`` static methods form a call ring whose parameter-passing
     edges close one large copy cycle in the constraint graph;
     ``n_feeds`` driver methods each inject a fresh object into the ring
-    at a different entry point.  A solver with online cycle elimination
-    collapses the ring and propagates each injected object once; the
-    seed solver re-propagates it around every ring member.
+    at a different entry point, and every injected object is propagated
+    around every ring member.  The kernel differential test checks the
+    solver against the seed oracle on these cycles.
     """
     parts = ["class Payload { int x; }", "class Ring {"]
     for i in range(n_ring):

@@ -10,7 +10,7 @@ for the whole program including the model library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..modeling import prepare
 from .generator import GeneratedApp

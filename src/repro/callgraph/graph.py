@@ -8,7 +8,7 @@ labeled with the call-site instruction id in the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, Iterator, List, Set, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover — avoids a package import cycle
     from ..pointer.contexts import Context

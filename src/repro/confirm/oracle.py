@@ -31,7 +31,7 @@ program produce byte-identical verdict lists.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..interp.interpreter import RunResult, execute
 from ..interp.validation import parse_label, prepare_for_execution

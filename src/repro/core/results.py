@@ -13,8 +13,7 @@ from ..taint.flows import TaintFlow
 # Legacy solver-stat keys, used when no metrics snapshot was recorded
 # (results produced under the disabled observability bundle).
 _SOLVER_STAT_KEYS = ("propagations", "edges", "nodes_processed",
-                     "cycles_collapsed", "keys_merged",
-                     "coalesced_deltas", "scc_runs",
+                     "coalesced_deltas",
                      "time_constraint_adding", "time_constraint_solving")
 
 
@@ -54,7 +53,7 @@ class TAJResult:
     failure: Optional[str] = None
     truncated: bool = False       # a soft bound trimmed the analysis
     # Counters and timings merged from every stage: modeling stats, the
-    # solver's kernel counters (propagations, cycles_collapsed, ...) and
+    # solver's kernel counters (propagations, edges, ...) and
     # per-phase wall times (time_constraint_adding, ...), taint bounds.
     stats: Dict[str, float] = field(default_factory=dict)
     # The metrics-registry snapshot for this run: counters / gauges /

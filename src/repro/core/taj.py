@@ -37,11 +37,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..bounds import Budget
 from ..callgraph import PriorityOrder
 from ..confirm.oracle import ReplayOracle
-from ..modeling import (COLLECTION_CLASSES, FACTORY_METHODS, ModelOptions,
-                        PreparedProgram, default_natives, prepare)
+from ..modeling import (COLLECTION_CLASSES, FACTORY_METHODS, PreparedProgram,
+                        default_natives, prepare)
 from ..obs import Observability
 from ..pointer import (ChaoticOrder, ContextPolicy, PointerAnalysis,
                        PolicyConfig)

@@ -30,17 +30,15 @@ from __future__ import annotations
 import sys
 
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, List, Optional, Set,
-                    Tuple)
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..ir import (ArrayLoad, ArrayStore, Assign, BinOp, Call, Cast,
                   ClassHierarchy, Const, EnterCatch, Goto, If, Load,
                   Method, New, NewArray, Phi, Program, Return, Select,
                   StaticLoad, StaticStore, Store, StringOp, Throw, UnOp)
 from ..lang.lower import EXC_DISPATCH
-from .values import (FALSE, JArray, JBool, JClass, JHome, JInt, JMethod,
-                     JObject, JString, NO_TAINT, NULL, TRUE, deep_taint,
-                     taint_of)
+from .values import (FALSE, JArray, JClass, JHome, JInt, JMethod, JObject,
+                     JString, NO_TAINT, NULL, TRUE, deep_taint, taint_of)
 
 
 class Fuel(Exception):

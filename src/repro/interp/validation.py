@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from ..ir import Program
 from ..modeling import ModelOptions, prepare
 from ..taint.rules import RuleSet, default_rules
-from .interpreter import RunResult, SinkEvent, execute
+from .interpreter import execute
 
 # Which dynamic label kinds can witness which rule.
 LABEL_KINDS = {

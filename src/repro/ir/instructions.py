@@ -22,7 +22,7 @@ Design notes relevant to the analyses built on top:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from .types import Type
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..ir import (ARRAY_CONTENTS, ArrayLoad, ArrayStore, Assign, BasicBlock,
-                  BinOp, Call, Cast, ClassDecl, Const, EnterCatch, FieldDecl,
-                  Goto, If, Load, Method, New, NewArray, Param, Program,
-                  Return, StaticLoad, StaticStore, Store, Throw, UnOp, Var,
-                  parse_type)
+from ..ir import (ArrayLoad, ArrayStore, Assign, BasicBlock, BinOp, Call, Cast,
+                  ClassDecl, Const, EnterCatch, FieldDecl, Goto, If, Load,
+                  Method, New, NewArray, Param, Program, Return, StaticLoad,
+                  StaticStore, Store, Throw, UnOp, Var, parse_type)
 from . import ast
 from .errors import LowerError, SourceError
 from .parser import parse

@@ -27,9 +27,9 @@ synthesized roots flow through the same pipeline as user code.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Set
 
-from ..ir import Cast, ClassHierarchy, Method, Program
+from ..ir import Cast, ClassHierarchy, Program
 from ..lang import Lowerer, parse
 
 MAX_FORM_DEPTH = 2

@@ -47,7 +47,6 @@ LEDGER_SCHEMA = 1
 # deterministic work measures, comparable across hosts.
 WORK_COUNTERS = (
     "pointer.propagations", "pointer.edges", "pointer.nodes_processed",
-    "pointer.cycles_collapsed", "pointer.keys_merged",
     "taint.rules_consulted", "taint.flows",
     "taint.suppressed_by_length", "report.issues",
     # Summary-cache effectiveness (repro.summaries): deterministic for

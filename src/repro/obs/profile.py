@@ -34,7 +34,6 @@ from __future__ import annotations
 import signal
 import sys
 import threading
-import time
 from typing import Dict, List, Optional, Tuple
 
 # Sampling interval default: 4 ms — coarse enough to stay far below 1%
@@ -56,7 +55,6 @@ _SELF_FILES = (__name__.rsplit(".", 1)[-1] + ".py",)
 HOT_LOOPS = {
     "_solve_constraints": "pointer.constraint_solving",
     "_add_constraints": "pointer.constraint_adding",
-    "_collapse_cycles": "pointer.scc_collapse",
     "tabulate": "sdg.tabulation",
     "slice_rule": "taint.slice_rule",
     "stitch": "summaries.stitch",

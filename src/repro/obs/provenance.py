@@ -22,8 +22,8 @@ imports from the analysis packages, keeping ``repro.obs`` a leaf).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 
 @dataclass

@@ -27,24 +27,35 @@ points cost one attribute lookup and one method call.
 from __future__ import annotations
 
 import time
+import weakref
 from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class Span:
-    """One named interval; a node in the span tree."""
+    """One named interval; a node in the span tree.
 
-    __slots__ = ("name", "start", "end", "attrs", "children", "parent",
-                 "_tracer")
+    The tree holds its spans from the top down only: ``parent`` is a
+    weak reference, and a span lets go of its tracer once it closes, so
+    a finished tree is freed by reference counting.
+    """
 
-    def __init__(self, name: str, tracer: "Tracer",
+    __slots__ = ("name", "start", "end", "attrs", "children", "_parent",
+                 "_tracer", "__weakref__")
+
+    def __init__(self, name: str, tracer: Optional["Tracer"],
                  attrs: Optional[Dict] = None) -> None:
         self.name = name
         self.start = 0.0
         self.end: Optional[float] = None
         self.attrs: Dict[str, object] = dict(attrs) if attrs else {}
         self.children: List["Span"] = []
-        self.parent: Optional["Span"] = None
+        self._parent: Optional[weakref.ReferenceType] = None
         self._tracer = tracer
+
+    @property
+    def parent(self) -> Optional["Span"]:
+        """The enclosing span (``None`` for a root)."""
+        return self._parent() if self._parent is not None else None
 
     @property
     def duration(self) -> float:
@@ -66,7 +77,9 @@ class Span:
         self.end = time.perf_counter()
         if exc is not None:
             self.attrs.setdefault("error", repr(exc))
-        self._tracer._close(self)
+        tracer, self._tracer = self._tracer, None
+        if tracer is not None:
+            tracer._close(self)
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -96,7 +109,7 @@ class Tracer:
         span (a root if none is open).  For aggregates measured inline
         by hot loops, e.g. the solver's constraint-adding/solving
         alternation."""
-        span = Span(name, self, attrs)
+        span = Span(name, None, attrs)
         span.start = start
         span.end = start + max(0.0, duration)
         self._attach(span)
@@ -141,6 +154,7 @@ class Tracer:
         # several open spans): pop through the target.
         while self._stack:
             top = self._stack.pop()
+            top._tracer = None
             if top is span:
                 break
             if top.end is None:
@@ -148,8 +162,8 @@ class Tracer:
 
     def _attach(self, span: Span) -> None:
         parent = self.current()
-        span.parent = parent
         if parent is not None:
+            span._parent = weakref.ref(parent)
             parent.children.append(span)
         else:
             self.roots.append(span)

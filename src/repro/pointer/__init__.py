@@ -7,7 +7,6 @@ from .keys import (AllocSite, FieldKey, InstanceKey, KeyTable, LocalKey,
                    encode_instance_keys)
 from .policy import ContextPolicy, PolicyConfig
 from .ordering import ChaoticOrder, OrderingPolicy
-from .scc import UnionFind, copy_cycles
 from .solver import PointerAnalysis
 
 __all__ = [
@@ -15,5 +14,5 @@ __all__ = [
     "ContextPolicy", "EMPTY", "FieldKey", "HeapGraph", "InstanceKey",
     "KeyTable", "LocalKey", "ObjContext", "OrderingPolicy",
     "PointerAnalysis", "PointerKey", "PolicyConfig", "ReturnKey",
-    "StaticFieldKey", "UnionFind", "copy_cycles", "encode_instance_keys",
+    "StaticFieldKey", "encode_instance_keys",
 ]

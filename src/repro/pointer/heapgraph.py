@@ -24,9 +24,7 @@ class HeapGraph:
 
     def __init__(self, analysis: object) -> None:
         # instance-key index -> bitset of the objects its fields may
-        # point to.  iter_pts_bits() also yields keys merged away by the
-        # solver's cycle elimination, so collapsed field keys keep
-        # their adjacency.
+        # point to.
         succs: Dict[int, int] = {}
         for key, bits in analysis.iter_pts_bits():
             if isinstance(key, FieldKey):

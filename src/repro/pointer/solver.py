@@ -21,12 +21,9 @@ strings never pollute points-to sets.
 
 This is the *optimised* kernel; the seed solver it replaced is kept
 only as a test oracle (``tests/pointer/reference_solver.py``), which
-must reach the same least fixpoint.  Four constraint-graph
+must reach the same least fixpoint.  Three constraint-graph
 optimisations (``docs/performance.md``) set the two apart:
 
-* **online cycle elimination** — copy-edge cycles are collapsed through
-  the union-find in :mod:`repro.pointer.scc`; every solver structure is
-  keyed by representatives and cycle members share one points-to set;
 * **coalescing worklist** — a key already pending accumulates new facts
   into its pending-delta bitset instead of enqueueing another entry, so
   a key is processed once per drain with its whole accumulated delta
@@ -64,7 +61,6 @@ from .keys import (FieldKey, InstanceKey, KeyTable, LocalKey, PointerKey,
                    StaticFieldKey, encode_instance_keys)
 from .ordering import ChaoticOrder, OrderingPolicy
 from .policy import ContextPolicy
-from .scc import UnionFind, copy_cycles
 
 _EMPTY_FROZEN: FrozenSet[InstanceKey] = frozenset()
 
@@ -72,12 +68,11 @@ _EMPTY_FROZEN: FrozenSet[InstanceKey] = frozenset()
 class PointerAnalysis:
     """The solver; results live in ``pts``, ``call_graph``.
 
-    ``pts`` is keyed by cycle *representatives* and its values are
-    **bitset ints** over the dense instance-key ID space; external
-    callers should go through :meth:`points_to` / :meth:`iter_pts`,
-    which normalize any key through the union-find and decode the bits
-    back into :class:`InstanceKey` sets (:meth:`iter_pts_bits` exposes
-    the raw representation for bitset-aware consumers such as
+    ``pts`` maps pointer keys to **bitset ints** over the dense
+    instance-key ID space; external callers should go through
+    :meth:`points_to` / :meth:`iter_pts`, which decode the bits back
+    into :class:`InstanceKey` sets (:meth:`iter_pts_bits` exposes the
+    raw representation for bitset-aware consumers such as
     :class:`~repro.pointer.heapgraph.HeapGraph`).
 
     ``keys`` is the run's :class:`~repro.pointer.keys.KeyTable`: every
@@ -118,7 +113,6 @@ class PointerAnalysis:
         self.resilience = resilience
         self.deadline_exceeded = False
 
-        # All of the following are keyed by cycle representatives.
         # Points-to sets are bitset ints (bit i set <=> the key may
         # point to the instance key with dense index i).
         self.pts: Dict[PointerKey, int] = {}
@@ -135,19 +129,9 @@ class PointerAnalysis:
         # _pending; facts arriving while pending OR into that bitset.
         self._pending: Dict[PointerKey, int] = {}
         self._worklist: Deque[PointerKey] = deque()
-        self._scc = UnionFind()
-        # Lazy cycle detection: sources of copy edges that re-delivered a
-        # fully redundant delta accumulate as suspects; an SCC pass runs
-        # once enough pile up (or when the worklist drains), rooted at
-        # the suspects only — a cycle through a suspect edge is reachable
-        # from that edge's source, so the sweep never has to touch the
-        # rest of the graph.
-        self._suspect_srcs: Dict[PointerKey, None] = {}
-        self._lcd_checked: Set[Tuple[PointerKey, PointerKey]] = set()
         self._processed_nodes: Set[CGNode] = set()
         self.stats = {"propagations": 0, "edges": 0, "nodes_processed": 0,
-                      "cycles_collapsed": 0, "keys_merged": 0,
-                      "coalesced_deltas": 0, "scc_runs": 0}
+                      "coalesced_deltas": 0}
         # Wall-clock seconds per solver phase (paper §6.1's alternation).
         self.phase_seconds = {"constraint_adding": 0.0,
                               "constraint_solving": 0.0}
@@ -155,7 +139,6 @@ class PointerAnalysis:
         # the hot propagation loop itself stays uninstrumented.
         self.obs = DISABLED if obs is None else obs
         self._worklist_peak = 0
-        self._scc_seconds = 0.0
         self._solve_started = 0.0
 
     # ------------------------------------------------------------------ API
@@ -205,33 +188,22 @@ class PointerAnalysis:
             if progress is not None:
                 progress.update(cg_nodes=len(self.call_graph.nodes),
                                 worklist=self._worklist_peak)
-        # Residual suspects below the batch threshold: collapse at the
-        # end so discovered cycles are merged in the final solution (a
-        # merge can re-pend owed facts, whose propagation may in turn
-        # raise fresh suspects — each edge is suspected at most once, so
-        # this drains in a bounded number of rounds).
-        while self._suspect_srcs:
-            started = clock()
-            self._collapse_cycles()
-            self._solve_constraints()
-            self.phase_seconds["constraint_solving"] += clock() - started
         self._record_obs()
 
     def points_to(self, key: PointerKey) -> FrozenSet[InstanceKey]:
         """Immutable snapshot of a key's points-to set.
 
         Decodes the internal bitset into a fresh frozenset, so the live
-        representation (shared by every member of a collapsed cycle)
-        never leaks to callers.
+        representation never leaks to callers.
         """
-        bits = self.pts.get(self._scc.find(key), 0)
+        bits = self.pts.get(key, 0)
         return frozenset(self.keys.decode(bits)) if bits \
             else _EMPTY_FROZEN
 
     def points_to_bits(self, key: PointerKey) -> int:
         """A key's points-to set as a raw bitset int (union over the
         dense instance-key ID space)."""
-        return self.pts.get(self._scc.find(key), 0)
+        return self.pts.get(key, 0)
 
     def points_to_var(self, method: str, var: str,
                       context: Optional[Context] = None) -> Set[InstanceKey]:
@@ -245,16 +217,14 @@ class PointerAnalysis:
         """Context-collapsed points-to set of a local as a bitset."""
         bits = 0
         pts_get = self.pts.get
-        find = self._scc.find
         local = self.keys.local
         for node in self.call_graph.nodes_of_method(method):
-            bits |= pts_get(find(local(method, node.context, var)), 0)
+            bits |= pts_get(local(method, node.context, var), 0)
         return bits
 
     def iter_pts(self) -> Iterator[Tuple[PointerKey, Set[InstanceKey]]]:
-        """(key, points-to set) for every key the solver has seen,
-        including keys merged away by cycle collapsing (they yield their
-        representative's set).  Sets are freshly decoded copies."""
+        """(key, points-to set) for every key the solver has seen.
+        Sets are freshly decoded copies."""
         decode = self.keys.decode
         for key, bits in self.iter_pts_bits():
             yield key, set(decode(bits))
@@ -262,16 +232,7 @@ class PointerAnalysis:
     def iter_pts_bits(self) -> Iterator[Tuple[PointerKey, int]]:
         """(key, bitset) for every key the solver has seen — the
         zero-copy view bitset-aware consumers build on."""
-        yield from self.pts.items()
-        find = self._scc.find
-        for key in self._scc.merged_keys():
-            bits = self.pts.get(find(key), 0)
-            if bits:
-                yield key, bits
-
-    def representative(self, key: PointerKey) -> PointerKey:
-        """The key's cycle representative (itself if never merged)."""
-        return self._scc.find(key)
+        return iter(self.pts.items())
 
     # Key factories: native-method summaries build keys through these so
     # every solver's tables only ever hold its own keys (the seed solver
@@ -315,10 +276,9 @@ class PointerAnalysis:
         """Bitset core of :meth:`add_pts`: OR ``bits`` into the key's
         set, scheduling propagation of the genuinely new bits.
 
-        Returns whether anything new arrived (the lazy-cycle-detection
-        trigger).  New facts coalesce into the key's pending-delta
-        bitset, so a key occupies at most one worklist slot."""
-        key = self._scc.find(key)
+        Returns whether anything new arrived.  New facts coalesce into
+        the key's pending-delta bitset, so a key occupies at most one
+        worklist slot."""
         current = self.pts.get(key, 0)
         new = bits & ~current
         if not new:
@@ -335,8 +295,6 @@ class PointerAnalysis:
 
     def add_copy_edge(self, src: PointerKey, dst: PointerKey) -> None:
         """Add a subset edge src ⊆ dst and flush current contents."""
-        find = self._scc.find
-        src, dst = find(src), find(dst)
         if src is dst:
             return
         succs = self._succs.get(src)
@@ -354,7 +312,6 @@ class PointerAnalysis:
                             call: Call) -> None:
         """Watch ``key`` for new receivers of ``call``, dispatching the
         already-known ones (used by native-method summaries too)."""
-        key = self._scc.find(key)
         self._call_watch.setdefault(key, []).append((node, call))
         # Decoding yields a fresh list, so dispatching may grow the
         # live set without invalidating this snapshot (coalesced facts
@@ -443,7 +400,6 @@ class PointerAnalysis:
 
     def _watch_load(self, base: PointerKey, fld: str,
                     dst: PointerKey) -> None:
-        base = self._scc.find(base)
         self._load_watch.setdefault(base, []).append((fld, dst))
         keys = self.keys
         for ikey in keys.decode(self.pts.get(base, 0)):
@@ -451,7 +407,6 @@ class PointerAnalysis:
 
     def _watch_store(self, base: PointerKey, fld: str,
                      src: PointerKey) -> None:
-        base = self._scc.find(base)
         self._store_watch.setdefault(base, []).append((fld, src))
         keys = self.keys
         for ikey in keys.decode(self.pts.get(base, 0)):
@@ -523,47 +478,28 @@ class PointerAnalysis:
         # point is right after a node's constraints were added).
         if len(self._worklist) > self._worklist_peak:
             self._worklist_peak = len(self._worklist)
-        find = self._scc.find
-        # Fast-path probe: a key is merged iff it has a parent entry, so
-        # the common (cycle-free) case pays one C-level dict get instead
-        # of a Python call into find().
-        merged_probe = self._scc._parent.get
         worklist = self._worklist
         pending = self._pending
         all_succs = self._succs
         load_watch = self._load_watch
         store_watch = self._store_watch
         call_watch = self._call_watch
-        suspects = self._suspect_srcs
-        lcd_batch = self.LCD_BATCH
         stats = self.stats
         add_pts_bits = self.add_pts_bits
         add_copy_edge = self.add_copy_edge
-        checked = self._lcd_checked
         decode = self.keys.decode
         field = self.keys.field
         while worklist:
             key = worklist.popleft()
-            delta = pending.pop(key, None)
-            if delta is None:
-                continue        # merged away or already drained
+            # A key is queued exactly while it has a pending delta.
+            delta = pending.pop(key)
             stats["propagations"] += 1
             succs = all_succs.get(key)
             if succs:
                 # add_pts_bits never touches _succs: iterate directly.
                 # The whole delta moves per edge as one big-int OR.
                 for dst in succs:
-                    if merged_probe(dst) is not None:
-                        dst = find(dst)
-                        if dst is key:
-                            continue
-                    if not add_pts_bits(dst, delta):
-                        # Fully redundant re-delivery: this edge may
-                        # close a copy cycle.  Check each edge once.
-                        edge = (key, dst)
-                        if edge not in checked:
-                            checked.add(edge)
-                            suspects[key] = None
+                    add_pts_bits(dst, delta)
             # The field/call watch seams need per-object dispatch, so
             # the delta is decoded once, lazily, and shared by all
             # three watch kinds.
@@ -589,32 +525,6 @@ class PointerAnalysis:
                 for caller_node, call in list(watches):
                     for ikey in delta_keys:
                         self._dispatch(caller_node, call, ikey)
-            if len(suspects) >= lcd_batch:
-                self._collapse_cycles()
-
-    # ------------------------------------------------------ cycle elimination
-
-    # Suspect edges tolerated before a mid-drain SCC pass runs.
-    LCD_BATCH = 32
-
-    def _collapse_cycles(self) -> None:
-        """Run SCC detection rooted at the suspect edges and merge each
-        cycle found.  Rooting at suspects keeps the sweep proportional
-        to the subgraph they can reach, not the whole copy graph."""
-        scc_started = time.perf_counter()
-        find = self._scc.find
-        roots = [find(k) for k in self._suspect_srcs]
-        self._suspect_srcs.clear()
-        self.stats["scc_runs"] += 1
-        for comp in copy_cycles(self._succs, find, roots):
-            self.stats["cycles_collapsed"] += 1
-            winner = comp[0]
-            for loser in comp[1:]:
-                winner_root, loser_root = self._scc.union(winner, loser)
-                if winner_root is not loser_root:
-                    self._merge_into(winner_root, loser_root)
-                winner = winner_root
-        self._scc_seconds += time.perf_counter() - scc_started
 
     # ------------------------------------------------------ observability
 
@@ -628,7 +538,6 @@ class PointerAnalysis:
         metrics.merge_counters(self.stats, prefix="pointer.")
         for phase, seconds in self.phase_seconds.items():
             metrics.record_time(f"pointer.{phase}", seconds)
-        metrics.record_time("pointer.scc_collapse", self._scc_seconds)
         metrics.gauge_max("pointer.worklist_depth_peak",
                           self._worklist_peak)
         metrics.record_values("pointer.pts_set_size",
@@ -653,51 +562,3 @@ class PointerAnalysis:
             "pointer.constraint_solving", start + adding, solving,
             {"propagations": self.stats["propagations"],
              "coalesced_deltas": self.stats["coalesced_deltas"]})
-        if self._scc_seconds or self.stats["scc_runs"]:
-            tracer.add_completed(
-                "pointer.scc_collapse", start + adding + solving,
-                self._scc_seconds,
-                {"scc_runs": self.stats["scc_runs"],
-                 "cycles_collapsed": self.stats["cycles_collapsed"],
-                 "keys_merged": self.stats["keys_merged"]})
-
-    def _merge_into(self, winner: PointerKey, loser: PointerKey) -> None:
-        """Fold the loser's solver state into the winner (already
-        unioned in the union-find)."""
-        self.stats["keys_merged"] += 1
-        find = self._scc.find
-        loser_pts = self.pts.pop(loser, 0)
-        loser_pending = self._pending.pop(loser, 0)
-        winner_pts = self.pts.get(winner, 0)
-        # Facts one side has propagated but the other has not: both
-        # successor lists are about to be unified, so everything either
-        # side might still owe its (old) successors must be re-pending.
-        owed = (winner_pts ^ loser_pts) | loser_pending
-        self.pts[winner] = winner_pts | loser_pts
-        if owed:
-            pending = self._pending.get(winner)
-            if pending is None:
-                self._pending[winner] = owed
-                self._worklist.append(winner)
-            else:
-                self._pending[winner] = pending | owed
-        # Unify copy successors, dropping self-loops and duplicates.
-        merged: Dict[PointerKey, None] = {}
-        for dst in (*self._succs.pop(winner, ()),
-                    *self._succs.pop(loser, ())):
-            dst = find(dst)
-            if dst is not winner:
-                merged[dst] = None
-        if merged:
-            self._succs[winner] = merged
-        # Concatenate watch lists; duplicates are deduplicated
-        # downstream (edge set membership / _dispatched tokens).
-        for watch in (self._load_watch, self._store_watch,
-                      self._call_watch):
-            tail = watch.pop(loser, None)
-            if tail:
-                head = watch.get(winner)
-                if head is None:
-                    watch[winner] = tail
-                else:
-                    head.extend(tail)

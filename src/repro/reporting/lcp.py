@@ -20,7 +20,7 @@ application→library crossing, so grouping is a key computation here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..sdg.nodes import StmtRef
 from ..taint.flows import TaintFlow

@@ -9,7 +9,7 @@ from ..ir import Program
 from ..obs import DISABLED, Observability
 from ..taint.flows import TaintFlow, canonical_flows
 from ..taint.rules import RuleSet
-from .lcp import FlowGroup, group_flows
+from .lcp import group_flows
 
 
 @dataclass

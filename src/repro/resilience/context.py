@@ -26,7 +26,7 @@ reporting where the exact CS configuration aborts out-of-memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..bounds import BudgetExhausted

@@ -14,7 +14,6 @@ statements are the node kinds the paper's Figure 2 shows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..ir import Instruction
 

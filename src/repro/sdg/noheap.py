@@ -22,13 +22,12 @@ The builder also prepares every index the taint traversal needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..callgraph.graph import CallGraph
-from ..ir import (ARRAY_CONTENTS, ArrayLoad, ArrayStore, Assign, BinOp,
-                  Call, Cast, Const, EnterCatch, Instruction, Load, Method,
-                  New, NewArray, Phi, Program, Return, Select, StaticLoad,
+from ..ir import (ARRAY_CONTENTS, ArrayLoad, ArrayStore, Assign, BinOp, Call,
+                  Cast, Load, Method, Phi, Program, Return, Select, StaticLoad,
                   StaticStore, Store, StringOp, UnOp)
 from .nodes import Fact, RET, Stmt, StmtRef
 

@@ -45,7 +45,7 @@ Per-rule behaviour (sanitizer cuts, sink detection) is injected via a
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Callable, Deque, Dict, List, Optional, Set, Tuple,
                     TYPE_CHECKING)
 

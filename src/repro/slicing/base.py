@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..bounds import Budget
 from ..pointer.heapgraph import HeapGraph
 from ..sdg.hsdg import DirectEdges
 from ..sdg.nodes import Stmt, StmtRef
-from ..sdg.noheap import CallSite, NoHeapSDG
+from ..sdg.noheap import NoHeapSDG
 from ..taint.carriers import CarrierIndex
 from ..taint.flows import TaintFlow
 from ..taint.rules import SecurityRule

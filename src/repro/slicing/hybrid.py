@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..bounds import StateMeter
-from ..sdg.nodes import Stmt, StmtRef
-from ..sdg.noheap import StoreSite
+from ..sdg.nodes import StmtRef
 from ..sdg.tabulation import Hit, Meta, RuleAdapter, Tabulator
 from ..taint.flows import TaintFlow
 from ..taint.rules import SecurityRule

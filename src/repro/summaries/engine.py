@@ -45,7 +45,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .. import __version__
 from ..modeling.natives import default_natives
 from ..obs.ledger import sha256_fingerprint
-from ..sdg.nodes import RET, StmtRef
+from ..sdg.nodes import StmtRef
 from ..sdg.noheap import NoHeapSDG, StoreSite
 from ..sdg.tabulation import Hit, Meta, RegionKey, RuleAdapter, Tabulator
 from ..slicing.hybrid import HybridSlicer

@@ -14,12 +14,10 @@ A method's taint-transfer summary (its balanced-region hit lists, see
 
 So the cache key for a method is a **transitive content hash**: a local
 hash per method (IR render + call environment), composed bottom-up over
-the call graph's SCC condensation (iterative Tarjan via
-:func:`repro.pointer.scc.copy_cycles`, with the identity ``find`` —
-summary keys have no union-find).  Editing one method's body moves the
-local hash of that method and, through composition, the transitive key
-of exactly its call-graph ancestors: the dirtied region re-explores,
-everything else stays warm.
+the call graph's SCC condensation (an iterative Tarjan sweep).  Editing
+one method's body moves the local hash of that method and, through
+composition, the transitive key of exactly its call-graph ancestors:
+the dirtied region re-explores, everything else stays warm.
 
 Mutually recursive methods share one component and therefore one
 transitive digest — any edit inside a cycle invalidates the whole
@@ -37,11 +35,10 @@ propagation) is the *rule fingerprint*, combined with the method key in
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 from ..ir.printer import format_method
 from ..obs.ledger import sha256_fingerprint
-from ..pointer.scc import copy_cycles
 from ..sdg.noheap import NoHeapSDG
 
 
@@ -99,6 +96,64 @@ def local_hashes(sdg: NoHeapSDG) -> Dict[str, str]:
     return out
 
 
+def _cycles(succs: Dict[str, List[str]]) -> List[List[str]]:
+    """Non-trivial strongly connected components of a call graph.
+
+    Iterative Tarjan: call graphs routinely exceed Python's recursion
+    limit.  A method calling only itself is not a component.
+    """
+    index: Dict[str, int] = {}
+    lowlink: Dict[str, int] = {}
+    on_stack: Dict[str, bool] = {}
+    stack: List[str] = []
+    sccs: List[List[str]] = []
+    counter = 0
+
+    for start in succs:
+        if start in index:
+            continue
+        # Each frame: (node, iterator over its successors).
+        work: List[Tuple[str, Iterator[str]]] = []
+        index[start] = lowlink[start] = counter
+        counter += 1
+        stack.append(start)
+        on_stack[start] = True
+        work.append((start, iter(succs.get(start, ()))))
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for succ in it:
+                if succ not in index:
+                    index[succ] = lowlink[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack[succ] = True
+                    work.append((succ, iter(succs.get(succ, ()))))
+                    advanced = True
+                    break
+                if on_stack.get(succ):
+                    if index[succ] < lowlink[node]:
+                        lowlink[node] = index[succ]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if lowlink[node] < lowlink[parent]:
+                    lowlink[parent] = lowlink[node]
+            if lowlink[node] == index[node]:
+                comp: List[str] = []
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    comp.append(member)
+                    if member == node:
+                        break
+                if len(comp) > 1:
+                    sccs.append(comp)
+    return sccs
+
+
 def transitive_keys(sdg: NoHeapSDG) -> Dict[str, str]:
     """Method → transitive content hash, composed bottom-up over the
     call graph's SCC condensation."""
@@ -110,19 +165,17 @@ def transitive_keys(sdg: NoHeapSDG) -> Dict[str, str]:
         succs[qname] = sorted(callees)
 
     # Non-trivial cycles share one component; everything else is its
-    # own singleton.  ``find`` is the identity — the graph is static.
+    # own singleton.
     comp_of: Dict[str, str] = {}
     members: Dict[str, List[str]] = {}
-    for comp in copy_cycles(succs, lambda key: key):
+    for comp in _cycles(succs):
         root = min(comp)
         for member in comp:
             comp_of[member] = root
         members[root] = sorted(comp)
     for qname in locals_:
-        comp_of.setdefault(qname, qname)
-        members.setdefault(comp_of[qname], [qname]) \
-            if comp_of[qname] == qname else None
-        if comp_of[qname] == qname and qname not in members:
+        if qname not in comp_of:
+            comp_of[qname] = qname
             members[qname] = [qname]
 
     comp_succs: Dict[str, List[str]] = {}
@@ -137,8 +190,7 @@ def transitive_keys(sdg: NoHeapSDG) -> Dict[str, str]:
     digests: Dict[str, str] = {}
 
     def compute(start: str) -> None:
-        # Iterative post-order: constraint-style graphs exceed Python's
-        # recursion limit (same discipline as pointer.scc).
+        # Iterative post-order, for the same reason as _cycles.
         stack: List[List] = [[start, False]]
         while stack:
             comp, expanded = stack[-1]

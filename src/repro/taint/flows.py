@@ -9,7 +9,7 @@ report never depends on the order in which rules or seeds were sliced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from ..sdg.nodes import StmtRef
 

@@ -7,9 +7,9 @@ and again.  Each case below runs once to warm up, runs again, drops the
 result, and collects under ``gc.DEBUG_SAVEALL``: the collector must find
 nothing unreachable.
 
-The bundle's span tree keeps its parent/child cycle, so every case holds
-its own :class:`~repro.obs.Observability` bundle, which keeps the spans
-reachable.
+Every case runs on the facade's private
+:class:`~repro.obs.Observability` bundle, so the run's span tree and
+tracer must be freed with the rest of it.
 """
 
 import gc
@@ -23,7 +23,6 @@ from repro.bench import generate_suite
 from repro.bench.micro import MOTIVATING
 from repro.callgraph import PriorityOrder
 from repro.modeling import default_natives, prepare
-from repro.obs import Observability
 from repro.pointer import ChaoticOrder, ContextPolicy, PointerAnalysis
 from repro.resilience import Fault, FaultPlan
 
@@ -40,7 +39,7 @@ def apps():
 
 def assert_freed(apps, app, config, faults=None, completeness=None):
     sources, descriptor = apps[app]
-    taj = TAJ(config, obs=Observability(), faults=faults)
+    taj = TAJ(config, faults=faults)
     taj.analyze_sources(sources, descriptor)
 
     # The result is local to run(), so its last reference goes when

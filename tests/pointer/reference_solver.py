@@ -1,9 +1,9 @@
 """The seed pointer solver and its key classes, kept as a test oracle.
 
-This is the textbook Andersen's solver the repository started with: no
-cycle elimination, one worklist entry per delta, frozenset deltas, and
-the original frozen-dataclass keys and contexts, which re-hash their
-field tuples on every dict probe.  The product solver
+This is the textbook Andersen's solver the repository started with: one
+worklist entry per delta, frozenset deltas, and the original
+frozen-dataclass keys and contexts, which re-hash their field tuples on
+every dict probe.  The product solver
 (``repro.pointer.PointerAnalysis``) must compute the identical least
 fixpoint and call graph; ``tests/property/test_differential.py`` and
 ``tests/property/test_kernel_differential.py`` compare the two through

@@ -11,8 +11,8 @@ either the interpreter realizes a flow the static analysis misses
 baseline ordering).
 
 The solver property test checks the kernel overhaul end to end: for
-every composed program, :class:`repro.pointer.PointerAnalysis` (online
-cycle elimination, interned keys, coalescing worklist) must compute the
+every composed program, :class:`repro.pointer.PointerAnalysis` (interned
+keys, coalescing worklist, bitset points-to sets) must compute the
 identical least fixpoint as the seed solver,
 :class:`tests.pointer.reference_solver.SeedPointerAnalysis`.
 Both run with an unbounded budget — the fixpoint is order-independent,
