@@ -24,11 +24,12 @@ def main() -> None:
     print(f"analysis phases (s): modeling={result.times.modeling:.3f} "
           f"pointer={result.times.pointer_analysis:.3f} "
           f"sdg={result.times.sdg:.3f} taint={result.times.taint:.3f}")
+    counters = result.metrics["counters"]
     print(f"call-graph nodes: {result.cg_nodes}, "
           f"reflective calls resolved: "
-          f"{result.stats['reflective_calls_resolved']}, "
+          f"{counters['modeling.reflective_calls_resolved']}, "
           f"dictionary accesses modeled: "
-          f"{result.stats['dictionary_accesses']}")
+          f"{counters['modeling.dictionary_accesses']}")
 
     assert result.issues == 1, "expected exactly the one BAD println"
     issue = result.report.issues[0]

@@ -16,9 +16,8 @@ percentiles, peak-memory gauges), ``--audit`` the per-flow provenance
 audit, and ``--stats`` prints the solver kernel counters plus the
 registry summary table.  ``--profile`` samples the run with the
 phase-attributed profiler and writes a collapsed-stack flamegraph
-file, ``--ledger`` appends one run-ledger record (diff history with
-``python -m repro.obs.compare``), and ``--progress`` prints a live
-heartbeat line to stderr while the analysis runs.
+file, and ``--ledger`` appends one run-ledger record (diff history with
+``python -m repro.obs.compare``).
 """
 
 from __future__ import annotations
@@ -32,9 +31,10 @@ from typing import Dict, List, Optional
 from .core import TAJ, TAJConfig
 from .lang import lower_sources, parse
 from .lang.errors import SourceError
-from .obs import (Observability, append_record, record_from_result,
-                  write_audit_json, write_chrome_trace, write_collapsed,
-                  write_metrics_json, write_spans_jsonl)
+from .obs import (Observability, SamplingProfiler, append_record,
+                  record_from_result, write_audit_json,
+                  write_chrome_trace, write_collapsed, write_metrics_json,
+                  write_spans_jsonl)
 from .reporting import render_metrics_table, render_text
 from .taint import default_rules, extended_rules
 
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 1)")
     parser.add_argument("--stats", action="store_true",
                         help="print solver kernel statistics "
-                             "(propagations, cycle merges, phase times) "
+                             "(propagations, edges, phase times) "
                              "and the metrics-registry summary table")
     parser.add_argument("--trace", metavar="FILE",
                         help="write the span trace in Chrome trace-event "
@@ -132,10 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="VCS commit id to record in the ledger "
                              "entry (the ledger never shells out to "
                              "git itself)")
-    parser.add_argument("--progress", action="store_true",
-                        help="print a live heartbeat line (phase, "
-                             "worklist depth, rule progress) to "
-                             "stderr once per second")
     parser.add_argument("--max-cg-nodes", type=int, metavar="N",
                         help="override the call-graph node budget")
     parser.add_argument("--flow-length", type=int, metavar="N",
@@ -286,8 +282,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.confirm:
         config = config.with_confirm(fuel=args.confirm_fuel,
                                      seed=args.confirm_seed)
-    if args.profile:
-        config = config.with_profile(interval=args.profile_interval)
     plan = None
     if args.fault_plan:
         from .resilience import FaultPlan
@@ -301,11 +295,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     rules = extended_rules() if args.rules == "extended" \
         else default_rules()
 
+    profiler = SamplingProfiler(interval=args.profile_interval) \
+        if args.profile else False
     obs = Observability(audit=args.audit is not None,
                         memory=args.metrics is not None,
-                        progress=args.progress)
-    if args.progress:
-        obs.progress.start()
+                        profile=profiler)
     try:
         result = TAJ(config, rules=rules, obs=obs,
                      faults=plan).analyze_sources(
@@ -319,8 +313,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("analysis failed: broken input (use --keep-going to "
               "quarantine broken files)", file=sys.stderr)
         return 2
-    finally:
-        obs.progress.stop()
 
     for diag in result.diagnostics:
         prefix = ""
@@ -339,7 +331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         write_metrics_json(result.metrics, args.metrics)
     if args.audit:
         write_audit_json(obs.audit, args.audit)
-    if args.profile and obs.profiler is not None:
+    if args.profile:
         write_collapsed(obs.profiler.data, args.profile)
     if args.ledger:
         append_record(args.ledger,

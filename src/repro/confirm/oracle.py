@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..interp.interpreter import RunResult, execute
 from ..interp.validation import parse_label, prepare_for_execution
-from ..obs import DISABLED
+from ..obs import Observability
 from ..taint.rules import RuleSet, SecurityRule, default_rules
 from .plan import FlowProbe, InstrumentationPlan, build_plan
 from .verdicts import (CONFIRMED, INCONCLUSIVE, REFUTED,
@@ -57,7 +57,7 @@ class ReplayOracle:
         self.rules = rules or default_rules()
         self.fuel = fuel
         self.seed = seed
-        self.obs = obs or DISABLED
+        self.obs = obs or Observability()
 
     # -- public API ---------------------------------------------------------
 

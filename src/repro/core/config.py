@@ -75,15 +75,6 @@ class TAJConfig:
     # Payload seed mixed into every source value during replay, making
     # verdicts a deterministic function of (program, seed, fault mode).
     confirm_seed: int = 1
-    # Phase-attributed sampling profiler (repro.obs.profile,
-    # docs/observability.md): when enabled the facade installs a
-    # profiler on the run's observability bundle and the collapsed-stack
-    # data lands in ``TAJResult.profile`` (CLI ``--profile FILE`` writes
-    # the flamegraph-renderable file).  Off by default: profiling never
-    # changes reports, only adds measurement.
-    profile: bool = False
-    # Sampling interval in seconds.
-    profile_interval: float = 0.004
     # Persistent summary cache directory for the "summary" strategy
     # (repro.summaries, docs/performance.md): a cold run harvests
     # per-method summaries into it, a warm run on the same or an
@@ -110,13 +101,6 @@ class TAJConfig:
         verdict (``TAJResult.confirmation``)."""
         return replace(self, confirm=confirm, confirm_fuel=fuel,
                        confirm_seed=seed)
-
-    def with_profile(self, profile: bool = True,
-                     interval: float = 0.004) -> "TAJConfig":
-        """This configuration with the sampling profiler enabled: the
-        run's phase-attributed collapsed-stack profile lands in
-        ``TAJResult.profile`` (docs/observability.md)."""
-        return replace(self, profile=profile, profile_interval=interval)
 
     def with_summary_cache(self, directory: Optional[str]) -> "TAJConfig":
         """This configuration on the summary strategy, persisting

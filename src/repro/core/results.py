@@ -10,12 +10,6 @@ from ..reporting import Report
 from ..resilience import COMPLETE, Degradation, Diagnostic
 from ..taint.flows import TaintFlow
 
-# Legacy solver-stat keys, used when no metrics snapshot was recorded
-# (results produced under the disabled observability bundle).
-_SOLVER_STAT_KEYS = ("propagations", "edges", "nodes_processed",
-                     "coalesced_deltas",
-                     "time_constraint_adding", "time_constraint_solving")
-
 
 @dataclass
 class PhaseTimes:
@@ -52,13 +46,10 @@ class TAJResult:
     failed: bool = False          # hard budget failure (paper: CS OOM)
     failure: Optional[str] = None
     truncated: bool = False       # a soft bound trimmed the analysis
-    # Counters and timings merged from every stage: modeling stats, the
-    # solver's kernel counters (propagations, edges, ...) and
-    # per-phase wall times (time_constraint_adding, ...), taint bounds.
-    stats: Dict[str, float] = field(default_factory=dict)
-    # The metrics-registry snapshot for this run: counters / gauges /
-    # timer and value histograms with p50/p95/max summaries (empty when
-    # the run used the disabled observability bundle).
+    # The metrics-registry snapshot for this run, its one record of
+    # counters: counters (``modeling.*``, ``pointer.*``, ``taint.*``,
+    # ...), gauges, and timer and value histograms with p50/p95/max
+    # summaries (docs/observability.md).
     metrics: Dict[str, Dict] = field(default_factory=dict)
     # The flow-provenance audit payload (empty unless audit mode was
     # enabled): per-flow witness chains + per-rule consultations.
@@ -78,32 +69,25 @@ class TAJResult:
     confirmation: Optional[ConfirmationResult] = None
     # Sampling-profiler summary (repro.obs.profile): phase self-times,
     # hot-loop attribution, and top leaf functions; ``None`` unless the
-    # run carried a profiler (``TAJConfig.profile`` / CLI ``--profile``).
+    # run's bundle carried a profiler (``Observability(profile=...)`` /
+    # CLI ``--profile``).
     profile: Optional[Dict[str, object]] = None
 
     def solver_stats(self) -> Dict[str, float]:
-        """The pointer-solver kernel's counters and phase times.
-
-        Delegates to the metrics-registry snapshot (every ``pointer.*``
-        counter, plus the solver sub-phase timer totals); results
-        recorded without a registry fall back to the legacy ``stats``
-        keys.
-        """
-        counters = self.metrics.get("counters") if self.metrics else None
-        if counters:
-            prefix = "pointer."
-            out: Dict[str, float] = {
-                name[len(prefix):]: value
-                for name, value in counters.items()
-                if name.startswith(prefix)}
-            timers = self.metrics.get("timers", {})
-            for phase in ("constraint_adding", "constraint_solving"):
-                summary = timers.get(prefix + phase)
-                if summary is not None:
-                    out[f"time_{phase}"] = summary["total"]
-            return out
-        return {k: self.stats[k] for k in _SOLVER_STAT_KEYS
-                if k in self.stats}
+        """The pointer-solver kernel's counters and phase times: a
+        view over :attr:`metrics` (every ``pointer.*`` counter, plus the
+        solver sub-phase timer totals)."""
+        prefix = "pointer."
+        out: Dict[str, float] = {
+            name[len(prefix):]: value
+            for name, value in self.metrics.get("counters", {}).items()
+            if name.startswith(prefix)}
+        timers = self.metrics.get("timers", {})
+        for phase in ("constraint_adding", "constraint_solving"):
+            summary = timers.get(prefix + phase)
+            if summary is not None:
+                out[f"time_{phase}"] = summary["total"]
+        return out
 
     @property
     def issues(self) -> int:

@@ -10,9 +10,10 @@ detection (§4.1.1), bounds (§6.2), and LCP-grouped reporting (§5).
 Every phase runs inside a tracer span from :mod:`repro.obs`; the span
 durations are the single timing source for both :class:`PhaseTimes` and
 the metrics registry.  Pass an :class:`~repro.obs.Observability` bundle
-to keep (and export) the trace, metrics, and provenance audit; without
-one, each call gets a private bundle whose registry snapshot lands in
-``TAJResult.metrics``.
+to keep (and export) the trace, metrics, and provenance audit, or to
+run its sampling profiler; without one, each call gets a private
+bundle.  Either way the registry snapshot lands in
+``TAJResult.metrics``, the run's one record of counters.
 
 Resilience (``docs/robustness.md``): every phase is guarded by the
 run's :class:`~repro.resilience.ResilienceContext`, built from the
@@ -35,12 +36,14 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
 
 from ..callgraph import PriorityOrder
 from ..confirm.oracle import ReplayOracle
 from ..modeling import (COLLECTION_CLASSES, FACTORY_METHODS, PreparedProgram,
-                        default_natives, prepare)
+                        default_natives, default_whitelist, prepare,
+                        validate_whitelist)
 from ..obs import Observability
 from ..pointer import (ChaoticOrder, ContextPolicy, PointerAnalysis,
                        PolicyConfig)
@@ -85,36 +88,37 @@ class TAJ:
                         ) -> TAJResult:
         """Model + analyze jlang application sources."""
         obs = self._resolve_obs(obs)
-        self._start_profiler(obs)
-        res = self._make_resilience()
-        try:
-            with obs.tracer.span("phase.modeling",
-                                 sources=len(sources)) as span:
-                prepared = prepare(sources, deployment_descriptor,
-                                   self.config.models, extra_entrypoints,
-                                   obs=obs,
-                                   resilience=res if res.active else None)
-        except Exception as exc:
-            if not res.active:
-                raise
-            if isinstance(exc, DeadlineExceeded):
-                # A deadline expiry is never a failure — the (empty)
-                # result is partial, same as at every later phase.
-                res.degrade("modeling", "deadline", "abort", str(exc))
-            else:
-                # Modeling is otherwise essential: without a program
-                # there is nothing to analyze.
-                res.fail("modeling", exc)
-            result = TAJResult(config_name=self.config.name,
-                               times=PhaseTimes(modeling=span.duration))
-            return self._finalize(result, res, obs)
-        obs.sample_memory()
-        times = PhaseTimes(modeling=span.duration)
-        return self.analyze_prepared(prepared, times, obs=obs,
-                                     resilience=res,
-                                     confirm_sources=sources,
-                                     confirm_descriptor=
-                                     deployment_descriptor)
+        with self._measuring(obs):
+            res = self._make_resilience()
+            try:
+                with obs.tracer.span("phase.modeling",
+                                     sources=len(sources)) as span:
+                    prepared = prepare(sources, deployment_descriptor,
+                                       self.config.models,
+                                       extra_entrypoints, obs=obs,
+                                       resilience=res if res.active
+                                       else None)
+            except Exception as exc:
+                if not res.active:
+                    raise
+                if isinstance(exc, DeadlineExceeded):
+                    # A deadline expiry is never a failure — the
+                    # (empty) result is partial, same as at every
+                    # later phase.
+                    res.degrade("modeling", "deadline", "abort",
+                                str(exc))
+                else:
+                    # Modeling is otherwise essential: without a
+                    # program there is nothing to analyze.
+                    res.fail("modeling", exc)
+                result = TAJResult(config_name=self.config.name,
+                                   times=PhaseTimes(
+                                       modeling=span.duration))
+                return self._finalize(result, res, obs)
+            obs.sample_memory()
+            return self._analyze(prepared,
+                                 PhaseTimes(modeling=span.duration), obs,
+                                 res, sources, deployment_descriptor)
 
     def analyze_prepared(self, prepared: PreparedProgram,
                          times: Optional[PhaseTimes] = None,
@@ -131,15 +135,27 @@ class TAJ:
         prepared execution program, not on the analysis model); without
         them a ``confirm`` configuration skips confirmation silently.
         """
-        config = self.config
         obs = self._resolve_obs(obs)
-        self._start_profiler(obs)
+        with self._measuring(obs):
+            return self._analyze(prepared, times or PhaseTimes(), obs,
+                                 resilience or self._make_resilience(),
+                                 confirm_sources, confirm_descriptor)
+
+    # -- internals ----------------------------------------------------------------
+
+    def _analyze(self, prepared: PreparedProgram, times: PhaseTimes,
+                 obs: Observability, res: ResilienceContext,
+                 confirm_sources: Optional[List[str]],
+                 confirm_descriptor: Optional[Dict[str, str]]
+                 ) -> TAJResult:
+        """Both stages, reporting and confirmation on a modeled
+        program."""
+        config = self.config
         tracer = obs.tracer
-        res = resilience or self._make_resilience()
         armed = res if res.active else None
-        times = times or PhaseTimes()
         result = TAJResult(config_name=config.name, times=times)
         program = prepared.program
+        obs.metrics.merge_counters(prepared.stats, prefix="modeling.")
 
         # ---- stage 1: pointer analysis + call graph -----------------------
         try:
@@ -149,10 +165,9 @@ class TAJ:
                 order = self._ordering(config)
                 excluded = set()
                 if config.use_whitelist:
-                    excluded = set(prepared.whitelist) | {
-                        name for name in config.whitelist_extra
-                        if (cls := program.get_class(name))
-                        and cls.is_library}
+                    excluded = validate_whitelist(
+                        program,
+                        default_whitelist() | config.whitelist_extra)
                 analysis = PointerAnalysis(
                     program, policy, natives=default_natives(),
                     order=order, budget=config.budget,
@@ -241,13 +256,6 @@ class TAJ:
         result.failed = taint.failed
         result.failure = taint.failure
         result.truncated = result.truncated or taint.truncated
-        result.stats = dict(prepared.stats)
-        result.stats.update(analysis.stats)
-        for phase, seconds in analysis.phase_seconds.items():
-            result.stats[f"time_{phase}"] = seconds
-        result.stats["suppressed_by_length"] = taint.suppressed_by_length
-        result.stats["state_units"] = taint.state_units
-        result.stats["rules_completed"] = len(taint.completed_rules)
 
         # ---- reporting (§5) ---------------------------------------------------
         try:
@@ -298,21 +306,20 @@ class TAJ:
                             str(exc))
         return self._finalize(result, res, obs)
 
-    # -- internals ----------------------------------------------------------------
-
-    def _start_profiler(self, obs: Observability) -> None:
-        """Install (config-driven) and start the sampling profiler on
-        the run's bundle.  Idempotent: the analyze_sources →
-        analyze_prepared path calls it twice; one profiler runs."""
-        if getattr(obs, "profiler", None) is None:
-            if not self.config.profile or not obs.enabled:
-                return
-            from ..obs import SamplingProfiler
-            obs.profiler = SamplingProfiler(
-                interval=self.config.profile_interval,
-                tracer=obs.tracer)
-        if not obs.profiler.running:
-            obs.profiler.start()
+    @contextmanager
+    def _measuring(self, obs: Observability) -> Iterator[None]:
+        """Run the bundle's own profiler, if it has one, for the
+        duration of one analysis; stop it and close the bundle on every
+        exit, a raising one included."""
+        profiler = obs.profiler
+        if profiler is not None:
+            profiler.start()
+        try:
+            yield
+        finally:
+            if profiler is not None:
+                profiler.stop()
+            obs.finish()
 
     def _make_summary_backend(self):
         """The instance's summary backend (repro.summaries), created on
@@ -361,13 +368,11 @@ class TAJ:
             metrics.gauge("resilience.deadline_remaining_seconds",
                           round(remaining, 6))
         obs.finish()
-        profiler = getattr(obs, "profiler", None)
-        if profiler is not None:
-            if profiler.running:
-                profiler.stop()
-            result.profile = profiler.payload()
+        if obs.profiler is not None:
+            result.profile = obs.profiler.stop().payload()
         result.metrics = metrics.snapshot()
-        result.provenance = obs.audit.to_payload()
+        if obs.audit is not None:
+            result.provenance = obs.audit.to_payload()
         return result
 
     def _resolve_obs(self, obs: Optional[Observability]) -> Observability:

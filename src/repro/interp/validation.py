@@ -79,8 +79,7 @@ def execution_options() -> ModelOptions:
     the interpreter instead.
     """
     return ModelOptions(frameworks=True, exceptions=False, strings=False,
-                        reflection=False, collections=False, ejb=False,
-                        whitelist=False)
+                        reflection=False, collections=False, ejb=False)
 
 
 def prepare_for_execution(sources: List[str],

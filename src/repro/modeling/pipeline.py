@@ -23,20 +23,19 @@ matters and mirrors the design notes in each pass:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..ir import Method, Program, validate_program
 from ..lang import Lowerer, tokenize
 from ..lang.errors import SourceError
 from ..lang.parser import Parser
-from ..obs import DISABLED, Observability
+from ..obs import Observability
 from ..resilience import DeadlineExceeded
 from ..ssa import ConstantValues, SSAInfo, to_ssa
 from . import (collections_model, exceptions_model, reflection, strings,
                struts)
 from .ejb import EJBModel
 from .stdlib import PreparedLibrary, load_stdlib, prepared_library
-from .whitelist import default_whitelist, validate_whitelist
 
 
 @dataclass
@@ -50,7 +49,6 @@ class ModelOptions:
     reflection: bool = True
     collections: bool = True
     ejb: bool = True
-    whitelist: bool = True
 
 
 @dataclass
@@ -58,7 +56,6 @@ class PreparedProgram:
     """A fully modeled, SSA-form program ready for pointer analysis."""
 
     program: Program
-    whitelist: Set[str] = field(default_factory=set)
     stats: Dict[str, int] = field(default_factory=dict)
 
 
@@ -154,14 +151,15 @@ def prepare(app_sources: List[str],
     """Build a :class:`PreparedProgram` from jlang application sources.
 
     Each model pass runs inside a ``modeling.*`` tracer span, and the
-    pass counters are absorbed into the metrics registry (prefixed
-    ``modeling.``) in addition to the returned ``stats`` dict.  An
+    pass counters land in the returned ``stats`` dict; the facade
+    records them in the run's metrics registry (prefixed
+    ``modeling.``), whichever ``analyze_*`` call runs it.  An
     optional :class:`~repro.resilience.ResilienceContext` arms the
     ``frontend.source`` / ``modeling.pass`` fault seams, the cooperative
     deadline, and per-source quarantine.
     """
     options = options or ModelOptions()
-    obs = obs or DISABLED
+    obs = obs or Observability()
     tracer = obs.tracer
 
     def seam() -> None:
@@ -248,8 +246,4 @@ def prepare(app_sources: List[str],
     seam()
     with tracer.span("modeling.validate"):
         validate_program(program, methods)
-        whitelist = (validate_whitelist(program, default_whitelist())
-                     if options.whitelist else set())
-    obs.metrics.merge_counters(stats, prefix="modeling.")
-    return PreparedProgram(program=program, whitelist=whitelist,
-                           stats=stats)
+    return PreparedProgram(program=program, stats=stats)

@@ -16,7 +16,7 @@ Four instrument families, all addressed by dotted names
 :meth:`MetricsRegistry.snapshot` returns the whole registry as plain
 JSON-serializable dicts; that snapshot is what ``TAJResult.metrics``
 carries, what ``--metrics FILE`` writes, and what the bench artifacts
-embed.  :class:`NullMetricsRegistry` is the disabled-mode no-op.
+embed.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ class Histogram:
 
 class MetricsRegistry:
     """Counters + gauges + timer/value histograms behind one facade."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._counters: Dict[str, float] = {}
@@ -133,46 +131,3 @@ class MetricsRegistry:
             "histograms": {name: self._histograms[name].summary()
                            for name in sorted(self._histograms)},
         }
-
-
-class NullMetricsRegistry:
-    """Disabled-mode registry: every write is a no-op."""
-
-    enabled = False
-
-    def inc(self, name: str, amount: float = 1) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
-        pass
-
-    def gauge_max(self, name: str, value: float) -> None:
-        pass
-
-    def record_time(self, name: str, seconds: float) -> None:
-        pass
-
-    def record_value(self, name: str, value: float) -> None:
-        pass
-
-    def record_values(self, name: str, values: Iterable[float]) -> None:
-        pass
-
-    def merge_counters(self, counters: Mapping[str, float],
-                       prefix: str = "") -> None:
-        pass
-
-    def counter_value(self, name: str) -> float:
-        return 0
-
-    def gauge_value(self, name: str) -> None:
-        return None
-
-    def timer_summary(self, name: str) -> Dict[str, float]:
-        return Histogram().summary()
-
-    def snapshot(self) -> Dict[str, Dict]:
-        return {}
-
-
-NULL_REGISTRY = NullMetricsRegistry()

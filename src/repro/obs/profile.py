@@ -55,7 +55,7 @@ _SELF_FILES = (__name__.rsplit(".", 1)[-1] + ".py",)
 HOT_LOOPS = {
     "_solve_constraints": "pointer.constraint_solving",
     "_add_constraints": "pointer.constraint_adding",
-    "tabulate": "sdg.tabulation",
+    "_process": "sdg.tabulation",
     "slice_rule": "taint.slice_rule",
     "stitch": "summaries.stitch",
 }
@@ -201,10 +201,7 @@ class SamplingProfiler:
     # -- phase attribution -------------------------------------------------
 
     def _current_phase(self) -> str:
-        tracer = self.tracer
-        if tracer is None:
-            return DEFAULT_PHASE
-        stack = getattr(tracer, "_stack", None)
+        stack = self.tracer._stack if self.tracer is not None else None
         if not stack:
             return DEFAULT_PHASE
         # Roots of the span forest are the pipeline phases; the

@@ -17,7 +17,7 @@ pipeline consulted on the way to reporting it:
 
 The audit is duck-typed against :class:`TaintFlow`/``FlowGroup`` (no
 imports from the analysis packages, keeping ``repro.obs`` a leaf).
-:class:`NullProvenanceAudit` is the disabled default.
+The audit is opt-in: a bundle built without ``audit=True`` has none.
 """
 
 from __future__ import annotations
@@ -88,8 +88,6 @@ class RuleConsultation:
 class ProvenanceAudit:
     """Collects witnesses during the taint + reporting phases."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self.rules: List[RuleConsultation] = []
         self.witnesses: List[FlowWitness] = []
@@ -141,26 +139,3 @@ class ProvenanceAudit:
             "rules_consulted": [r.to_dict() for r in self.rules],
             "flows": [w.to_dict() for w in self.witnesses],
         }
-
-
-class NullProvenanceAudit:
-    """Disabled-mode audit."""
-
-    enabled = False
-    rules: Tuple = ()
-    witnesses: Tuple = ()
-
-    def record_rule(self, rule, seeds: int, flows: int) -> None:
-        pass
-
-    def record_flow(self, flow, rule, seeds: int) -> None:
-        pass
-
-    def record_groups(self, groups) -> None:
-        pass
-
-    def to_payload(self) -> Dict:
-        return {}
-
-
-NULL_AUDIT = NullProvenanceAudit()

@@ -18,10 +18,6 @@ Hot paths that measure time themselves (the pointer solver's
 alternating sub-phases) report aggregates through
 :meth:`Tracer.add_completed`, which records a pre-timed span without a
 context manager.
-
-:class:`NullTracer` is the disabled-mode recorder: ``span()`` returns a
-shared no-op singleton and nothing is retained, so instrumentation
-points cost one attribute lookup and one method call.
 """
 
 from __future__ import annotations
@@ -90,8 +86,6 @@ class Span:
 
 class Tracer:
     """Records a forest of :class:`Span` objects."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.roots: List[Span] = []
@@ -167,57 +161,3 @@ class Tracer:
             parent.children.append(span)
         else:
             self.roots.append(span)
-
-
-class _NullSpan:
-    """Shared do-nothing span returned by :class:`NullTracer`."""
-
-    __slots__ = ()
-    name = ""
-    start = 0.0
-    end = 0.0
-    duration = 0.0
-    attrs: Dict[str, object] = {}
-    children: Tuple = ()
-    parent = None
-
-    def set(self, **attrs: object) -> "_NullSpan":
-        return self
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """Disabled-mode tracer: records nothing, allocates nothing."""
-
-    enabled = False
-    roots: Tuple = ()
-
-    def span(self, name: str, **attrs: object) -> _NullSpan:
-        return NULL_SPAN
-
-    def add_completed(self, name: str, start: float, duration: float,
-                      attrs: Optional[Dict] = None) -> _NullSpan:
-        return NULL_SPAN
-
-    def current(self) -> None:
-        return None
-
-    def iter_spans(self) -> Iterator:
-        return iter(())
-
-    def find(self, name: str) -> List:
-        return []
-
-    def phase_durations(self) -> Dict[str, float]:
-        return {}
-
-
-NULL_TRACER = NullTracer()

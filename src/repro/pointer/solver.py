@@ -50,7 +50,7 @@ from typing import Deque, Dict, FrozenSet, Iterable, Iterator, List, \
 
 from ..bounds import Budget, UNBOUNDED
 from ..callgraph.graph import CallGraph, CGNode
-from ..obs import DISABLED
+from ..obs import Observability
 from ..resilience import DeadlineExceeded
 from ..ir import (ARRAY_CONTENTS, ArrayLoad, ArrayStore, Assign, Call, Cast,
                   ClassHierarchy, EnterCatch, Load, Method, New, NewArray,
@@ -86,7 +86,7 @@ class PointerAnalysis:
                  order: Optional[OrderingPolicy] = None,
                  budget: Budget = UNBOUNDED,
                  excluded_classes: Optional[Set[str]] = None,
-                 obs: Optional[object] = None,
+                 obs: Optional[Observability] = None,
                  resilience: Optional[object] = None) -> None:
         self.program = program
         self.hierarchy = ClassHierarchy(program)
@@ -137,7 +137,7 @@ class PointerAnalysis:
                               "constraint_solving": 0.0}
         # Observability (repro.obs): recorded once after the fixpoint —
         # the hot propagation loop itself stays uninstrumented.
-        self.obs = DISABLED if obs is None else obs
+        self.obs = obs or Observability()
         self._worklist_peak = 0
         self._solve_started = 0.0
 
@@ -152,9 +152,6 @@ class PointerAnalysis:
         clock = time.perf_counter
         self._solve_started = clock()
         resilience = self.resilience
-        progress = getattr(self.obs, "progress", None)
-        if progress is not None and not progress.enabled:
-            progress = None
         while True:
             if self._budget_met():
                 self.truncated = True
@@ -185,9 +182,6 @@ class PointerAnalysis:
             solved = clock()
             self.phase_seconds["constraint_adding"] += added - started
             self.phase_seconds["constraint_solving"] += solved - added
-            if progress is not None:
-                progress.update(cg_nodes=len(self.call_graph.nodes),
-                                worklist=self._worklist_peak)
         self._record_obs()
 
     def points_to(self, key: PointerKey) -> FrozenSet[InstanceKey]:
@@ -532,8 +526,6 @@ class PointerAnalysis:
         """Publish kernel counters, sub-phase timers, and distribution
         histograms to the observability bundle (one shot, post-solve)."""
         obs = self.obs
-        if not obs.enabled:
-            return
         metrics = obs.metrics
         metrics.merge_counters(self.stats, prefix="pointer.")
         for phase, seconds in self.phase_seconds.items():

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..ir import Program
-from ..obs import DISABLED, Observability
+from ..obs import Observability
 from ..taint.flows import TaintFlow, canonical_flows
 from ..taint.rules import RuleSet
 from .lcp import group_flows
@@ -70,12 +70,13 @@ def build_report(flows: List[TaintFlow], rules: RuleSet,
     member flow is recorded into the provenance audit, and the grouped/
     raw counts into the metrics registry.
     """
-    obs = obs or DISABLED
+    obs = obs or Observability()
     # Canonical order before grouping: representatives and issue order
     # must not depend on flow discovery order.
     flows = canonical_flows(flows)
     groups = group_flows(flows, rules)
-    obs.audit.record_groups(groups)
+    if obs.audit is not None:
+        obs.audit.record_groups(groups)
     obs.metrics.inc("report.issues", len(groups))
     obs.metrics.inc("report.raw_flows", len(flows))
     obs.metrics.inc("report.flows_grouped_away", len(flows) - len(groups))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..bounds import Budget, BudgetExhausted, StateMeter
-from ..obs import DISABLED
+from ..obs import Observability
 from ..pointer.heapgraph import HeapGraph
 from ..resilience import (Degradation, DeadlineExceeded, next_strategy,
                           trigger_of)
@@ -99,7 +99,8 @@ class TaintEngine:
 
     def __init__(self, sdg: NoHeapSDG, direct: DirectEdges,
                  heap_graph: HeapGraph, rules: RuleSet, budget: Budget,
-                 strategy: str = "hybrid", obs: Optional[object] = None,
+                 strategy: str = "hybrid",
+                 obs: Optional[Observability] = None,
                  resilience: Optional[object] = None,
                  summary_backend: Optional[object] = None) -> None:
         self.sdg = sdg
@@ -108,7 +109,7 @@ class TaintEngine:
         self.rules = rules
         self.budget = budget
         self.strategy = strategy
-        self.obs = DISABLED if obs is None else obs
+        self.obs = obs or Observability()
         self.resilience = resilience
         # Summary-cache backend (repro.summaries.SummaryBackend), used
         # only by strategy == "summary"; prepared by the caller against
@@ -178,10 +179,6 @@ class TaintEngine:
         # Canonical flow order: the form everything downstream
         # (grouping, JSON, differential harness) consumes.
         result.flows = canonical_flows(result.flows)
-        progress = getattr(self.obs, "progress", None)
-        if progress is not None:
-            progress.update(flows=len(result.flows))
-            progress.clear("rule", "rules")
         metrics = self.obs.metrics
         metrics.inc("taint.rules_consulted", len(rules))
         metrics.inc("taint.flows", len(result.flows))
@@ -210,13 +207,9 @@ class TaintEngine:
             # CS's upfront channel charge can exhaust the budget before
             # the first rule runs.
             strategy, slicer = self._recover(result, strategy, exc)
-        progress = getattr(obs, "progress", None)
         index = 0
         while slicer is not None and index < len(rules):
             rule = rules[index]
-            if progress is not None:
-                progress.update(rule=rule.name,
-                                rules=f"{index + 1}/{len(rules)}")
             try:
                 if res is not None:
                     res.check(f"slicing.{strategy}", phase="taint")
@@ -238,7 +231,7 @@ class TaintEngine:
                 continue
             obs.metrics.record_time("taint.rule_seconds", span.duration)
             obs.metrics.record_value("taint.rule_flows", len(flows))
-            if audit.enabled:
+            if audit is not None:
                 # The witness chain starts at the rule's enumerated
                 # source seeds; each surviving flow records what was
                 # consulted on its way into the report.

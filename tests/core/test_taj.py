@@ -42,11 +42,11 @@ def test_prepared_program_shared_across_configs():
     assert a.config_name != b.config_name
 
 
-def test_result_carries_stats_and_times():
+def test_result_carries_metrics_and_times():
     result = analyze([APP])
     assert result.cg_nodes > 0
     assert result.cg_edges > 0
-    assert "entrypoint_roots" in result.stats
+    assert "modeling.entrypoint_roots" in result.metrics["counters"]
     assert result.times.total > 0
 
 

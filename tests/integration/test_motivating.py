@@ -33,11 +33,13 @@ def test_ci_reports_all_three_printlns(motivating_ci):
 
 
 def test_reflection_was_resolved(motivating_hybrid):
-    assert motivating_hybrid.stats["reflective_calls_resolved"] == 3
+    counters = motivating_hybrid.metrics["counters"]
+    assert counters["modeling.reflective_calls_resolved"] == 3
 
 
 def test_dictionary_accesses_modeled(motivating_hybrid):
-    assert motivating_hybrid.stats["dictionary_accesses"] >= 6
+    counters = motivating_hybrid.metrics["counters"]
+    assert counters["modeling.dictionary_accesses"] >= 6
 
 
 def test_flows_are_deduplicated(motivating_hybrid):

@@ -41,12 +41,10 @@ def test_config_fingerprint_tracks_every_knob():
     base = TAJConfig.hybrid_optimized()
     assert config_fingerprint(base) == config_fingerprint(
         TAJConfig.hybrid_optimized())
-    # Any knob change — including nested dataclasses and new-PR knobs
-    # like profile — moves the fingerprint.
+    # Any knob change — including nested dataclasses — moves the
+    # fingerprint.
     assert config_fingerprint(base) != config_fingerprint(
         base.with_budget(max_cg_nodes=7))
-    assert config_fingerprint(base) != config_fingerprint(
-        base.with_profile())
     assert config_fingerprint(base) != config_fingerprint(
         base.with_resilience(deadline_seconds=5.0))
 

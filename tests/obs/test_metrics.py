@@ -1,9 +1,9 @@
-"""Metrics registry: counters, gauges, percentiles, null mode."""
+"""Metrics registry: counters, gauges, percentiles."""
 
 import pytest
 
 from repro.obs import MetricsRegistry, percentile
-from repro.obs.metrics import NULL_REGISTRY, Histogram
+from repro.obs.metrics import Histogram
 
 
 def test_counters_accumulate():
@@ -91,21 +91,6 @@ def test_histogram_summary_unsorted_input():
         h.observe(v)
     s = h.summary()
     assert s["p50"] == 5.0 and s["max"] == 9.0
-
-
-def test_null_registry_is_inert():
-    NULL_REGISTRY.inc("x", 5)
-    NULL_REGISTRY.gauge("g", 1)
-    NULL_REGISTRY.gauge_max("g", 2)
-    NULL_REGISTRY.record_time("t", 0.1)
-    NULL_REGISTRY.record_value("h", 1)
-    NULL_REGISTRY.record_values("h", [1, 2])
-    NULL_REGISTRY.merge_counters({"a": 1})
-    assert NULL_REGISTRY.counter_value("x") == 0
-    assert NULL_REGISTRY.gauge_value("g") is None
-    assert NULL_REGISTRY.timer_summary("t")["count"] == 0
-    assert NULL_REGISTRY.snapshot() == {}
-    assert not NULL_REGISTRY.enabled
 
 
 # -- percentile edge cases ----------------------------------------------------

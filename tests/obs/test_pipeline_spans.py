@@ -2,15 +2,15 @@
 
 Asserts the tentpole contract — every pipeline phase emits exactly one
 top-level ``phase.*`` span, phase times derive from those spans, the
-registry snapshot carries the solver counters, and the disabled bundle
-records nothing while the analysis still works.
+registry snapshot carries the solver counters, and a run given no
+bundle still records into a private one.
 """
 
 import pytest
 
 from repro import TAJ, TAJConfig
 from repro.lang import tokenize
-from repro.obs import DISABLED, Observability
+from repro.obs import Observability
 
 APP = """
 class Hello extends HttpServlet {
@@ -117,17 +117,6 @@ def test_provenance_rides_on_the_result(traced_run):
     consulted = {r["rule"] for r in
                  result.provenance["rules_consulted"]}
     assert "XSS" in consulted
-
-
-def test_disabled_bundle_records_nothing():
-    result = TAJ(TAJConfig.hybrid_optimized(),
-                 obs=DISABLED).analyze_sources([APP])
-    assert result.issues == 1
-    assert result.metrics == {}
-    assert result.provenance == {}
-    assert DISABLED.tracer.roots == ()
-    # Span-derived timing collapses to zero by design (documented):
-    assert result.times.total == 0.0
 
 
 def test_default_run_still_collects_metrics():

@@ -6,7 +6,6 @@ these tests drive it with minimal stand-ins; the integration test in
 """
 
 from repro.obs import ProvenanceAudit
-from repro.obs.provenance import NULL_AUDIT
 
 
 class FakeFlow:
@@ -91,11 +90,3 @@ def test_record_groups_tolerates_unseen_flows():
     audit = ProvenanceAudit()
     audit.record_groups([FakeGroup([FakeFlow()])])
     assert audit.to_payload()["flows"] == []
-
-
-def test_null_audit_is_inert():
-    NULL_AUDIT.record_rule(FakeRule(), seeds=1, flows=0)
-    NULL_AUDIT.record_flow(FakeFlow(), FakeRule(), seeds=1)
-    NULL_AUDIT.record_groups([])
-    assert NULL_AUDIT.to_payload() == {}
-    assert not NULL_AUDIT.enabled

@@ -1,12 +1,11 @@
-"""Span tracer: nesting, attributes, lifetime, disabled mode."""
+"""Span tracer: nesting, attributes, lifetime."""
 
 import gc
 import weakref
 
 import pytest
 
-from repro.obs import NULL_TRACER, Tracer
-from repro.obs.tracer import NULL_SPAN
+from repro.obs import Tracer
 
 
 def test_nested_spans_form_a_tree():
@@ -161,23 +160,3 @@ def test_find_and_phase_durations():
     durations = tracer.phase_durations()
     assert set(durations) == {"modeling", "taint"}
     assert all(v >= 0.0 for v in durations.values())
-
-
-def test_null_tracer_records_nothing():
-    span = NULL_TRACER.span("phase.modeling", files=2)
-    assert span is NULL_SPAN
-    with span as s:
-        s.set(anything=1)
-    assert NULL_TRACER.roots == ()
-    assert list(NULL_TRACER.iter_spans()) == []
-    assert NULL_TRACER.find("phase.modeling") == []
-    assert NULL_TRACER.phase_durations() == {}
-    assert not NULL_TRACER.enabled
-
-
-def test_null_span_is_shared_and_stateless():
-    a = NULL_TRACER.span("a", x=1)
-    b = NULL_TRACER.span("b")
-    assert a is b
-    a.set(y=2)
-    assert NULL_SPAN.attrs == {}

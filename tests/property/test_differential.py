@@ -136,9 +136,9 @@ def solve_with(cls, prepared):
 @given(choice_lists)
 @settings(max_examples=15, deadline=None)
 def test_optimized_solver_matches_seed_fixpoint(choices):
-    """Cycle elimination, interning and coalescing must not change the
-    least fixpoint: every pointer key points to the same instance keys
-    under both kernels, in both directions."""
+    """Interning, bitset points-to sets and coalescing must not change
+    the least fixpoint: every pointer key points to the same instance
+    keys under both kernels, in both directions."""
     prepared = prepare([build_source(choices)])
     seed = solve_with(SeedPointerAnalysis, prepared)
     optimized = solve_with(PointerAnalysis, prepared)
