@@ -66,3 +66,16 @@ class AppHelper {
     # AppHelper is application code: the extra entry is ignored, so
     # flows through it would still be tracked.
     assert result.cg_nodes > 0
+
+
+def test_whitelist_extra_names_absent_from_the_program_change_nothing():
+    """Only a callee can be excluded, so an extra name that no class
+    of the program bears leaves the run as the default list does."""
+    config = replace(TAJConfig.hybrid_unbounded(), use_whitelist=True)
+    plain = TAJ(config).analyze_sources([LOGGER_TRAP])
+    ghost = TAJ(replace(config, whitelist_extra=frozenset({"Ghost"}))) \
+        .analyze_sources([LOGGER_TRAP])
+    assert (ghost.cg_nodes, ghost.cg_edges, ghost.issues) \
+        == (plain.cg_nodes, plain.cg_edges, plain.issues)
+    assert [f.sort_key() for f in ghost.flows] \
+        == [f.sort_key() for f in plain.flows]
